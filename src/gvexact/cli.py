@@ -2,8 +2,9 @@
 surface presets.
 
 Exact values are serialized as strings ("p/q"), never floats.  Reports are
-emitted in graded-lex degree order regardless of the worker count, one JSON
-object (or CSV row group) per degree vector, followed by a summary.
+emitted in graded-lex degree order, one JSON object (or CSV row group) per
+degree vector, followed by a summary.  Bad input is a usage error: exit
+status 2 and one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from gvexact.gv import PRESETS, GvReport, integrality_report
@@ -23,72 +23,86 @@ from gvexact.series import (
 )
 from gvexact.verify import SUITES, run_suites
 
-# scale caps for the verification-grade paths (exponential growth)
-MATRIX_PATH_CAP = 4
-GRAPH_PATH_CAP = 3
+# the highest total degree each path is computed to; the verification-grade
+# paths grow exponentially with it
+PATH_CAPS = {"def": None, "matrix": 4, "graphs": 3}
 
 
 @dataclass
 class RunConfig:
+    """A validated run: the constructor raises ValueError on bad input."""
+
     gamma: tuple[int, ...]
     max_total_degree: int = 3
     degrees: list[tuple[int, ...]] | None = None
     paths: tuple[str, ...] = ("def",)
-    verify_suites: tuple[str, ...] = ()
     output_format: str = "json"
-    jobs: int = 1
+
+    def __post_init__(self):
+        if len(self.gamma) < 2 or not all(type(x) is int for x in self.gamma):
+            raise ValueError(
+                f"gamma needs at least two integer entries, got {list(self.gamma)}"
+            )
+        if self.degrees is not None:
+            if not self.degrees:
+                raise ValueError("no degree vectors given")
+            r = len(self.gamma)
+            for vec in self.degrees:
+                if (len(vec) != r or not all(type(x) is int and x >= 0 for x in vec)
+                        or not any(vec)):
+                    raise ValueError(
+                        f"bad degree vector {list(vec)}: need {r} entries >= 0, not all 0"
+                    )
+        elif type(self.max_total_degree) is not int or self.max_total_degree < 1:
+            raise ValueError(
+                f"the maximum degree must be an integer >= 1, not {self.max_total_degree!r}"
+            )
+        top = self.top_degree()
+        for name in self.paths:
+            if name not in PATH_CAPS:
+                raise ValueError(f"unknown path {name!r}; know {', '.join(PATH_CAPS)}")
+            cap = PATH_CAPS[name]
+            if cap is not None and top > cap:
+                raise ValueError(f"path {name!r} runs only to |d| <= {cap}, not {top}")
+
+    def top_degree(self) -> int:
+        """The highest total degree of the run."""
+        if self.degrees:
+            return max(sum(d) for d in self.degrees)
+        return self.max_total_degree
 
 
 def parse_gamma(text: str) -> tuple[int, ...]:
     if text in PRESETS:
         return PRESETS[text]
-    vals = tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
-    if len(vals) < 2:
-        raise ValueError("gamma needs at least two entries")
-    return vals
+    return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
 
 
-def parse_degrees(text: str, r: int) -> list[tuple[int, ...]]:
-    out = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        vec = tuple(int(x) for x in chunk.replace(" ", "").split(","))
-        if len(vec) != r or any(x < 0 for x in vec) or not any(vec):
-            raise ValueError(f"bad degree vector {chunk!r}")
-        out.append(vec)
-    return out
+def parse_degrees(text: str) -> list[tuple[int, ...]]:
+    return [
+        tuple(int(x) for x in chunk.replace(" ", "").split(","))
+        for chunk in text.split(";")
+        if chunk.strip()
+    ]
 
 
 def compute_reports(config: RunConfig) -> tuple[list[GvReport], bool]:
     """All requested reports in graded-lex order plus the overall verdict."""
-    r = len(config.gamma)
     if config.degrees:
         targets = sorted(set(config.degrees), key=lambda d: (sum(d), d))
-        max_total = max(sum(d) for d in targets)
-        zs = build_z_series(config.gamma, max_total, degrees=targets)
+        zs = build_z_series(config.gamma, config.top_degree(), degrees=targets)
     else:
-        max_total = config.max_total_degree
-        targets = list(degree_vectors(r, max_total))
-        zs = build_z_series(config.gamma, max_total)
+        targets = list(degree_vectors(len(config.gamma), config.max_total_degree))
+        zs = build_z_series(config.gamma, config.max_total_degree)
     fs = zs.log()
-
-    def one(d) -> GvReport:
+    reports = []
+    for d in targets:
         rep = integrality_report(config.gamma, d, fs.coefficient)
-        agree = True
-        if "matrix" in config.paths and sum(d) <= MATRIX_PATH_CAP:
-            agree &= z_coefficient_matrix(config.gamma, d) == zs.get(d)
-        if "graphs" in config.paths and sum(d) <= GRAPH_PATH_CAP:
-            agree &= f_connected(config.gamma, d) == fs.get(d)
-        rep.paths_agree = agree
-        return rep
-
-    if config.jobs > 1:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            reports = list(pool.map(one, targets))
-    else:
-        reports = [one(d) for d in targets]
+        if "matrix" in config.paths:
+            rep.paths_agree &= z_coefficient_matrix(config.gamma, d) == zs.get(d)
+        if "graphs" in config.paths:
+            rep.paths_agree &= f_connected(config.gamma, d) == fs.get(d)
+        reports.append(rep)
     ok = all(rep.integral and rep.paths_agree for rep in reports)
     return reports, ok
 
@@ -121,6 +135,35 @@ def load_config_file(path: str) -> dict:
         return json.load(fh)
 
 
+def config_from_args(args) -> RunConfig:
+    """The run the compute flags and the optional config file ask for."""
+    file_cfg = load_config_file(args.config) if args.config else {}
+    gamma = args.gamma or args.surface or file_cfg.get("gamma")
+    if gamma is None:
+        raise ValueError("need --surface, --gamma or a config file gamma")
+    gamma = tuple(gamma) if isinstance(gamma, list) else parse_gamma(str(gamma))
+
+    def pick(flag, key, default):
+        return flag if flag is not None else file_cfg.get(key, default)
+
+    if args.degrees is not None:
+        degrees = parse_degrees(args.degrees)
+    elif "degrees" in file_cfg:
+        degrees = [tuple(d) for d in file_cfg["degrees"]]
+    else:
+        degrees = None
+    paths = pick(args.paths, "paths", "def")
+    if not isinstance(paths, str):
+        raise ValueError("paths must be a comma-separated string such as 'def,matrix'")
+    return RunConfig(
+        gamma=gamma,
+        max_total_degree=pick(args.max_degree, "max_total_degree", 3),
+        degrees=degrees,
+        paths=tuple(paths.split(",")),
+        output_format=args.format,
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="gv",
@@ -136,14 +179,13 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--degrees", help="explicit list: 'd1,..,dr;d1,..,dr;...'")
     c.add_argument("--paths", default=None,
                    help="comma subset of def,matrix,graphs (extra paths verified "
-                        f"up to |d|<={MATRIX_PATH_CAP} / {GRAPH_PATH_CAP})")
+                        f"up to |d|<={PATH_CAPS['matrix']} / {PATH_CAPS['graphs']})")
     c.add_argument("--format", choices=("json", "csv"), default="json")
-    c.add_argument("--jobs", type=int, default=None)
     c.add_argument("--config", help="JSON config file; flags win on conflict")
 
     v = sub.add_parser("verify", help="run property suites")
-    v.add_argument("--suite", action="append", default=None,
-                   help=f"suite name(s); known: {', '.join(sorted(SUITES))}")
+    v.add_argument("--suite", action="append", default=None, choices=sorted(SUITES),
+                   help="suite name (repeatable); default all")
 
     sub.add_parser("surfaces", help="list gamma presets")
     return ap
@@ -166,32 +208,9 @@ def main(argv=None) -> int:
             ok &= passed
         return 0 if ok else 1
 
-    # compute
-    file_cfg = load_config_file(args.config) if args.config else {}
-    gamma_text = args.gamma or args.surface or file_cfg.get("gamma")
-    if gamma_text is None:
-        print("error: need --surface, --gamma or a config file gamma", file=sys.stderr)
-        return 2
-    if isinstance(gamma_text, list):
-        gamma = tuple(int(x) for x in gamma_text)
-    else:
-        gamma = parse_gamma(str(gamma_text))
-    def pick(flag, key, default):
-        return flag if flag is not None else file_cfg.get(key, default)
-
     try:
-        cfg = RunConfig(
-            gamma=gamma,
-            max_total_degree=int(pick(args.max_degree, "max_total_degree", 3)),
-            degrees=(
-                parse_degrees(args.degrees, len(gamma)) if args.degrees
-                else [tuple(d) for d in file_cfg.get("degrees", [])] or None
-            ),
-            paths=tuple(str(pick(args.paths, "paths", "def")).split(",")),
-            output_format=args.format,
-            jobs=max(1, int(pick(args.jobs, "jobs", 1))),
-        )
-    except ValueError as exc:
+        cfg = config_from_args(args)
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     reports, ok = compute_reports(cfg)

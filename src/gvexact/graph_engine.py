@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from gvexact.gv import mobius_sum
 from gvexact.partitions import Partition, RSet, union
 from gvexact.qalgebra import QLaurent, QRatio, pole_extract, qnum
 
@@ -83,6 +84,15 @@ def scale_node(v: Node, k: int) -> Node:
     if is_leaf(v):
         return ("L", v[1], k * v[2], k * v[3])
     return ("M", k * v[1], k * v[2], v[3], scale_node(v[4], k), scale_node(v[5], k))
+
+
+def scale_tree_down(v: Node, m: int) -> Node:
+    """Inverse of scale_node: divide every label by m."""
+    if is_leaf(v):
+        if v[2] % m or v[3] % m:
+            raise ValueError(f"leaf labels of {v} are not divisible by {m}")
+        return ("L", v[1], v[2] // m, v[3] // m)
+    return ("M", v[1] // m, v[2] // m, v[3], scale_tree_down(v[4], m), scale_tree_down(v[5], m))
 
 
 # A VEV forest is a tuple of completed trees (each a root Node).  A tree is
@@ -271,20 +281,7 @@ class CombinedForest:
         return len(edges) - len(verts) + self.component_count()
 
     def component_count(self) -> int:
-        verts, edges = self.contracted_graph()
-        parent = {v: v for v in verts}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for u, v in edges:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[ru] = rv
-        return len({find(v) for v in verts})
+        return count_components(*self.contracted_graph())
 
     def is_connected(self) -> bool:
         return self.component_count() == 1
@@ -442,20 +439,9 @@ def combined_forest_debug_lines(w: CombinedForest) -> list[str]:
 def g_k_of_w(w: CombinedForest, k: int) -> QRatio:
     """sum over k'|k of mobius(k/k') k'^(-l(mu)-l(nu)-l(lam)+1)
     H(W_(k')) with q -> q^(k/k')."""
-    from gvexact.gv import mobius
-
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
-    out = QRatio.zero()
-    for kp in range(1, k + 1):
-        if k % kp:
-            continue
-        mu = mobius(k // kp)
-        if not mu:
-            continue
-        term = amplitude_H(w.scaled(kp)).substitute_power(k // kp)
-        out = out + term * Fraction(mu, kp**expo)
-    return out
+    return mobius_sum(k, lambda kp: amplitude_H(w.scaled(kp)) * Fraction(1, kp**expo))
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +487,23 @@ def tree_pole_data(root: Node) -> TreePoleData:
 # ---------------------------------------------------------------------------
 
 
+def count_components(verts, edges) -> int:
+    """Connected components of a multigraph, by union-find."""
+    parent = {v: v for v in verts}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+    return len({find(v) for v in verts})
+
+
 def edge_map(
     n_vertices: int, edges: list[tuple[int, int]], v: int | None = None
 ) -> list[int]:
@@ -517,20 +520,7 @@ def edge_map(
     for a, b in edges:
         if a == b:
             raise ValueError("self-loops are not allowed")
-    # connectivity
-    parent = list(range(n_vertices))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    if len({find(x) for x in range(n_vertices)}) != 1:
+    if count_components(range(n_vertices), edges) != 1:
         raise ValueError("graph must be connected")
 
     beta = len(edges) - n_vertices + 1

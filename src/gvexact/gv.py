@@ -53,8 +53,15 @@ def divisors(n: int) -> list[int]:
     return out
 
 
-def vector_gcd(d: tuple[int, ...]) -> int:
-    return math.gcd(*d)
+def mobius_sum(k: int, term) -> QRatio:
+    """sum over k'|k of mobius(k/k') term(k') with q -> q^(k/k')."""
+    out = QRatio.zero()
+    for kp in divisors(k):
+        mu = mobius(k // kp)
+        if mu:
+            t = term(kp).substitute_power(k // kp)
+            out = out + t if mu > 0 else out - t
+    return out
 
 
 def g_of_d(gamma: tuple[int, ...], d: tuple[int, ...], f_lookup) -> QRatio:
@@ -62,16 +69,9 @@ def g_of_d(gamma: tuple[int, ...], d: tuple[int, ...], f_lookup) -> QRatio:
     k = gcd(d).  `f_lookup` maps a degree vector to its F coefficient."""
     if not any(d):
         raise ValueError("degree must be nonzero")
-    k = vector_gcd(d)
+    k = math.gcd(*d)
     base = tuple(x // k for x in d)
-    out = QRatio.zero()
-    for kp in divisors(k):
-        mu = mobius(k // kp)
-        if not mu:
-            continue
-        fcoef = f_lookup(tuple(kp * x for x in base))
-        out = out + fcoef.substitute_power(k // kp) * Fraction(mu * kp, k)
-    return out
+    return mobius_sum(k, lambda kp: f_lookup(tuple(kp * x for x in base)) * Fraction(kp, k))
 
 
 @dataclass

@@ -18,22 +18,8 @@ Partition = tuple[int, ...]
 EMPTY: Partition = ()
 
 
-def check_partition(p: Partition) -> Partition:
-    """Validate non-increasing positive parts; returns p."""
-    for i, a in enumerate(p):
-        if a <= 0:
-            raise ValueError(f"partition parts must be positive: {p}")
-        if i and p[i - 1] < a:
-            raise ValueError(f"partition parts must be non-increasing: {p}")
-    return p
-
-
 def weight(p: Partition) -> int:
     return sum(p)
-
-
-def length(p: Partition) -> int:
-    return len(p)
 
 
 @lru_cache(maxsize=None)
@@ -90,16 +76,6 @@ def parts_gcd(p: Partition) -> int:
     return math.gcd(*p) if p else 0
 
 
-def partition_stats(p: Partition) -> dict:
-    check_partition(p)
-    return {
-        "z": z_factor(p),
-        "aut_size": aut_size(p),
-        "conjugate": conjugate(p),
-        "content_gcd": parts_gcd(p),
-    }
-
-
 def union(p: Partition, q: Partition) -> Partition:
     """Merge the part multisets and re-sort non-increasing."""
     return tuple(sorted(p + q, reverse=True))
@@ -109,16 +85,6 @@ def scale(k: int, p: Partition) -> Partition:
     if k <= 0:
         raise ValueError("scale factor must be a positive integer")
     return tuple(k * a for a in p)
-
-
-def combine(op: str, *args) -> Partition:
-    if op == "union":
-        p, q = args
-        return union(p, q)
-    if op == "scale":
-        k, p = args
-        return scale(k, p)
-    raise ValueError(f"unknown combine op {op!r}")
 
 
 @dataclass(frozen=True)

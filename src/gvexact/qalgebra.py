@@ -78,14 +78,6 @@ class QLaurent:
     def max_exp(self) -> int:
         return max(self.coeffs)
 
-    def constant_value(self) -> Fraction | None:
-        """The value if this is a constant (possibly 0), else None."""
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1 and 0 in self.coeffs:
-            return self.coeffs[0]
-        return None
-
     def __eq__(self, other) -> bool:
         return isinstance(other, QLaurent) and self.coeffs == other.coeffs
 
@@ -358,10 +350,6 @@ class QRatio:
     def const(v) -> "QRatio":
         return QRatio(QLaurent.const(v))
 
-    @staticmethod
-    def from_laurent(p: QLaurent) -> "QRatio":
-        return QRatio(p)
-
     # -- structure -------------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -452,18 +440,6 @@ class QRatio:
         return f"QRatio({format_qratio(self)})"
 
 
-def field_arith(op: str, a: QRatio, b: QRatio | None = None) -> QRatio:
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    if op == "neg":
-        return -a
-    raise ValueError(f"unknown field op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Dense rational polynomials (used for both the t- and y-images)
 # ---------------------------------------------------------------------------
@@ -472,8 +448,8 @@ def field_arith(op: str, a: QRatio, b: QRatio | None = None) -> QRatio:
 class RPoly:
     """Dense univariate polynomial over Fractions, trailing zeros trimmed.
 
-    Serves as both TPoly (variable t) and YPoly (variable y); the variable
-    is bookkeeping at the call sites.
+    Serves for both the t- and the y-images; the variable is bookkeeping at
+    the call sites.
     """
 
     __slots__ = ("coeffs",)
@@ -487,10 +463,6 @@ class RPoly:
     @staticmethod
     def const(v) -> "RPoly":
         return RPoly([Fraction(v)])
-
-    @staticmethod
-    def x() -> "RPoly":
-        return RPoly([0, 1])
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -567,12 +539,6 @@ class RPoly:
             raise ValueError("division not exact")
         return q
 
-    def eval(self, v: Fraction) -> Fraction:
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
-
     def compose(self, other: "RPoly") -> "RPoly":
         out = RPoly()
         for c in reversed(self.coeffs):
@@ -590,10 +556,6 @@ class RPoly:
 
     def __repr__(self) -> str:
         return f"RPoly({list(self.coeffs)})"
-
-
-TPoly = RPoly
-YPoly = RPoly
 
 
 # ---------------------------------------------------------------------------
@@ -615,35 +577,24 @@ def t_k_in_t(k: int) -> RPoly:
     return p
 
 
-_COSH_BASIS: list[RPoly] = [RPoly.const(2), RPoly([2, 1])]
-
-
-def _cosh_basis(m: int) -> RPoly:
-    """q^(m/2) + q^(-m/2) in y (equivalently q^m + q^-m in t).
-
-    Chebyshev-style recurrence: P_0 = 2, P_1 = v + 2,
-    P_{m+1} = (v + 2) P_m - P_{m-1}.
-    """
-    while len(_COSH_BASIS) <= m:
-        _COSH_BASIS.append(RPoly([2, 1]) * _COSH_BASIS[-1] - _COSH_BASIS[-2])
-    return _COSH_BASIS[m]
-
-
 def _laurent_to_poly(p: QLaurent, step: int) -> RPoly:
-    """Symmetric QLaurent with exponents in step*Z -> polynomial (t or y)."""
+    """Symmetric QLaurent with exponents in step*Z -> polynomial (t or y).
+
+    Each pair x^e + x^-e with e = m*step is 2 + t_m, and t_m is t_k_in_t(m)
+    in the target variable (t for step 2, y for step 1)."""
     if not p.is_symmetric():
         raise NotSymmetricInT("not invariant under q -> 1/q")
     if any(e % step for e in p.coeffs):
         raise NotSymmetricInT("exponent parity does not match the target ring")
-    out = RPoly()
+    out = [Fraction(0)] * (max(p.coeffs, default=0) // step + 1)
     for e, c in p.coeffs.items():
-        if e < 0:
-            continue
         if e == 0:
-            out = out + RPoly.const(c)
-        else:
-            out = out + _cosh_basis(e // step) * c
-    return out
+            out[0] += c
+        elif e > 0:
+            out[0] += 2 * c
+            for j, a in enumerate(t_k_in_t(e // step).coeffs):
+                out[j] += a * c
+    return RPoly(out)
 
 
 def to_t_poly(f: QRatio) -> RPoly:
@@ -681,8 +632,8 @@ def t_k_qratio(k: int) -> QRatio:
 def pole_extract(f: QRatio, k: int, mode: str = "plain") -> tuple[Fraction, RPoly]:
     """Decompose f against the simple pole at t_k = 0.
 
-    plain: f = g/t_k + remainder(t)           -> (g, remainder as TPoly)
-    half : f = (g/t_k)(1 + t_{k/2}/2) + rem   -> (g, remainder as YPoly),
+    plain: f = g/t_k + remainder(t)           -> (g, remainder in t)
+    half : f = (g/t_k)(1 + t_{k/2}/2) + rem   -> (g, remainder in y),
            only for even k.
     Raises NoSuchDecomposition when f*t_k is not a (suitably symmetric)
     Laurent polynomial or the modular remainder has the wrong shape.
@@ -745,12 +696,3 @@ def format_qratio(f: QRatio) -> str:
         return format_qlaurent(f.num)
     return f"({format_qlaurent(f.num)}) / ({format_qlaurent(f.den)})"
 
-
-def format_rpoly(p: RPoly, var: str = "t") -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for i, c in enumerate(p.coeffs):
-        if c:
-            parts.append(f"{format_fraction(c)}*{var}^{i}")
-    return " + ".join(parts)

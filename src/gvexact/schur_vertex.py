@@ -197,9 +197,3 @@ def vev_fock(cs: tuple[int, ...], ns: tuple[int, ...]) -> QRatio:
             return QRatio.zero()
     return vec.get((), QRatio.zero())
 
-
-def me_word(mu: Partition, a: int, nu: Partition) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The operator word realizing <mu| q^(a*F2) |nu>."""
-    cs = tuple(reversed(mu)) + tuple(-v for v in nu)
-    ns = (0,) * len(mu) + tuple(a * v for v in nu)
-    return cs, ns

@@ -23,9 +23,9 @@ from gvexact.qalgebra import QLaurent, QRatio, qnum_product
 from gvexact.schur_vertex import W_vertex, matrix_element_char
 
 
-def degree_vectors(r: int, max_total: int, include_zero: bool = False):
-    """Degree vectors in graded lexicographic order."""
-    for total in range(0 if include_zero else 1, max_total + 1):
+def degree_vectors(r: int, max_total: int):
+    """Nonzero degree vectors in graded lexicographic order."""
+    for total in range(1, max_total + 1):
         for head in _compositions(total, r):
             yield head
 
@@ -222,10 +222,6 @@ class DegreeSeries:
         return out
 
 
-def log_series(z: DegreeSeries) -> DegreeSeries:
-    return z.log()
-
-
 def downward_closure(degrees) -> frozenset:
     """Closure of a degree set under the componentwise order (0 excluded)."""
     out = set()
@@ -239,21 +235,16 @@ def downward_closure(degrees) -> frozenset:
 def build_z_series(
     gamma: tuple[int, ...],
     max_total: int,
-    path: str = "def",
     degrees=None,
 ) -> DegreeSeries:
-    """Assemble the partition-function series up to the total-degree cap,
-    optionally restricted to the downward closure of an explicit degree set."""
+    """Assemble the partition-function series (definitional path) up to the
+    total-degree cap, optionally restricted to the downward closure of an
+    explicit degree set."""
     r = len(gamma)
     support = None if degrees is None else downward_closure(degrees)
     z = DegreeSeries(r, max_total, support)
     z.constant = QRatio.one()
-    fn = {
-        "def": z_coefficient_def,
-        "matrix": z_coefficient_matrix,
-        "graphs": lambda g, d: z_coefficient_graphs(g, d, connected_only=False),
-    }[path]
     for d in degree_vectors(r, max_total):
         if support is None or d in support:
-            z.set(d, fn(gamma, d))
+            z.set(d, z_coefficient_def(gamma, d))
     return z

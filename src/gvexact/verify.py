@@ -21,7 +21,12 @@ from gvexact.graph_engine import (
     amplitude_H,
     connected_trees_for,
     enumerate_combined_forests,
+    g_k_of_w,
+    graph_word,
+    scale_forest,
+    scale_tree_down,
     tree_pole_data,
+    tree_type,
     vev_graphs,
 )
 from gvexact.gv import mobius
@@ -30,22 +35,23 @@ from gvexact.partitions import (
     enumerate_rsets,
     parts_gcd,
     pentagonal_p,
+    scale,
     weight,
 )
 from gvexact.qalgebra import (
     NotSymmetricInT,
-    QLaurent,
     QRatio,
     RPoly,
     pole_extract,
     qnum,
+    qnum_product,
     t_k_in_t,
     t_k_qratio,
     to_t_poly,
     to_y_poly,
     try_to_t_poly,
 )
-from gvexact.schur_vertex import matrix_element_char, me_word, vev_fock
+from gvexact.schur_vertex import matrix_element_char, vev_fock
 from gvexact.series import (
     build_z_series,
     degree_vectors,
@@ -112,7 +118,7 @@ def suite_rset_sanity(max_total: int = 3) -> str:
 def suite_q_lemmas(rng_seed: int = 20240809) -> str:
     rng = random.Random(rng_seed)
     # q-number product membership parities
-    for _ in range(120):
+    for _ in range(150):
         m = rng.randint(1, 6)
         parts = [rng.randint(1, 8) for _ in range(m)]
         prod = QRatio.one()
@@ -178,8 +184,8 @@ def suite_q_lemmas(rng_seed: int = 20240809) -> str:
                 )
                 if not drop_ok or not (k % 2 == 1 or d % 2 == 0):
                     continue
-                f = QRatio(qnum_scaled(lam, k)) / (
-                    QRatio(qnum(k) * qnum(k)) * QRatio(qnum_prod(lam))
+                f = QRatio(qnum_product(scale(k, lam))) / (
+                    QRatio(qnum(k) * qnum(k)) * QRatio(qnum_product(lam))
                 )
                 g, rem = pole_extract(f, 1, "plain")
                 _check(
@@ -203,27 +209,13 @@ def suite_q_lemmas(rng_seed: int = 20240809) -> str:
     return f"q-number lemmas, {count_g2} pole constants, Mobius, orthogonality"
 
 
-def qnum_prod(lam) -> QLaurent:
-    out = QLaurent.one()
-    for a in lam:
-        out = out * qnum(a)
-    return out
-
-
-def qnum_scaled(lam, k: int) -> QLaurent:
-    out = QLaurent.one()
-    for a in lam:
-        out = out * qnum(k * a)
-    return out
-
-
 def suite_vev_oracle(max_weight: int = 3, rng_seed: int = 7) -> str:
     count = 0
     for d in range(1, max_weight + 1):
         for mu in enumerate_partitions(d):
             for nu in enumerate_partitions(d):
                 for a in range(-2, 3):
-                    cs, ns = me_word(mu, a, nu)
+                    cs, ns = graph_word(mu, nu, a)
                     g = vev_graphs(cs, ns)
                     f = vev_fock(cs, ns)
                     m = QRatio(matrix_element_char(mu, a, nu))
@@ -268,7 +260,16 @@ def suite_exp_formula(max_total: int = 3) -> str:
     return f"exponential formula at {count} coefficients"
 
 
-def suite_pole_structure(max_weight: int = 3) -> str:
+def suite_pole_structure(
+    max_weight: int = 3,
+    gammas=((1, 1), (-1, -1), (1, 1, 1)),
+    scales: tuple[int, ...] = (),
+) -> str:
+    """Per-tree pole decompositions with the g_T scaling law up to
+    `max_weight`, and the pole structure of every connected combined forest
+    to |d| <= 3 over `gammas`.  For each k in `scales`, forests of cycle rank
+    0 over primitive r-sets also get the scaled-amplitude law for H(W_(k))
+    and the t-integrality of g_k(W)."""
     trees = 0
     for d in range(1, max_weight + 1):
         for mu in enumerate_partitions(d):
@@ -296,8 +297,8 @@ def suite_pole_structure(max_weight: int = 3) -> str:
                             )
                         trees += 1
     # combined amplitudes
-    combined = 0
-    for gamma in [(1, 1), (-1, -1), (1, 1, 1)]:
+    combined = scaled = 0
+    for gamma in gammas:
         r = len(gamma)
         for d in degree_vectors(r, 3):
             for rs in enumerate_rsets(r, d):
@@ -318,24 +319,35 @@ def suite_pole_structure(max_weight: int = 3) -> str:
                             f"t_k H not in Z[t] at {rs}",
                         )
                     combined += 1
-    return f"pole data on {trees} trees, {combined} combined forests"
+                    if scales and beta == 0 and rs.parts_gcd() == 1:
+                        scaled += _check_scaled_forest(w, h, gamma, scales)
+    detail = f"pole data on {trees} trees, {combined} combined forests"
+    return detail + (f" ({scaled} scaled checks)" if scales else "")
 
 
-def scale_tree_down(root, m: int):
-    """Divide all labels by m (inverse of scaling; labels must be divisible)."""
-    from gvexact.graph_engine import is_leaf
-
-    if is_leaf(root):
-        assert root[2] % m == 0 and root[3] % m == 0
-        return ("L", root[1], root[2] // m, root[3] // m)
-    return (
-        "M",
-        root[1] // m,
-        root[2] // m,
-        root[3],
-        scale_tree_down(root[4], m),
-        scale_tree_down(root[5], m),
-    )
+def _check_scaled_forest(w, h: QRatio, gamma, scales) -> int:
+    """H(W_(k)) = k^(l-1) H(W)(q^k) times (1 + t_{mk/2}/2) per type-I tree
+    (and the sign of gamma.d) for even k, up to Z[t]; g_k(W) has at most
+    the t pole for k = 2 and none above."""
+    rs = w.rset
+    lm, ln, ll = w.l_counts()
+    expo = lm + ln + ll - 1
+    odd = sum(g * x for g, x in zip(gamma, rs.degree())) % 2
+    type_one = [tree_type(t)[0] for _, _, t in w.trees() if tree_type(t)[2] == "I"]
+    for k in scales:
+        ref = h.substitute_power(k) * (k**expo)
+        if k % 2 == 0:
+            for m in type_one:
+                ref = ref * (QRatio.one() + t_k_qratio(m * k // 2) * Fraction(1, 2))
+            if odd:
+                ref = -ref
+        diff = try_to_t_poly(amplitude_H(scale_forest(w, k)) - ref)
+        _check(diff is not None and diff.is_integral(), f"scaling law k={k} at {rs}")
+        gkw = g_k_of_w(w, k)
+        _check(try_to_t_poly(gkw * t_k_qratio(1)) is not None, f"t*g_{k} pole at {rs}")
+        if k > 2:
+            _check(try_to_t_poly(gkw) is not None, f"g_{k} not in Q[t] at {rs}")
+    return len(scales)
 
 
 SUITES = {
@@ -356,6 +368,6 @@ def run_suites(names) -> list[tuple[str, bool, str]]:
         try:
             detail = fn()
             out.append((name, True, detail))
-        except VerificationFailure as exc:
-            out.append((name, False, str(exc)))
+        except Exception as exc:  # a crashing suite is a failed one
+            out.append((name, False, f"{type(exc).__name__}: {exc}"))
     return out

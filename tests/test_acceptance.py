@@ -5,8 +5,6 @@ Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import itertools
-import math
-import random
 import time
 from fractions import Fraction
 
@@ -17,30 +15,16 @@ from gvexact.graph_engine import (
     connected_trees_for,
     edge_map,
     enumerate_combined_forests,
-    g_k_of_w,
+    graph_word,
     scale_forest,
     tree_leaves,
     tree_pole_data,
-    tree_type,
     vev_graphs,
 )
-from gvexact.gv import PRESETS, integrality_report, mobius
-from gvexact.partitions import enumerate_partitions, enumerate_rsets, parts_gcd
-from gvexact.qalgebra import (
-    NotSymmetricInT,
-    QLaurent,
-    QRatio,
-    RPoly,
-    pole_extract,
-    qnum,
-    qnum_product,
-    t_k_in_t,
-    t_k_qratio,
-    to_t_poly,
-    to_y_poly,
-    try_to_t_poly,
-)
-from gvexact.schur_vertex import matrix_element_char, me_word, vev_fock
+from gvexact.gv import PRESETS, integrality_report
+from gvexact.partitions import enumerate_partitions
+from gvexact.qalgebra import QRatio, RPoly, qnum, t_k_qratio
+from gvexact.schur_vertex import matrix_element_char, vev_fock
 from gvexact.series import (
     build_z_series,
     degree_vectors,
@@ -49,6 +33,7 @@ from gvexact.series import (
     z_coefficient_graphs,
     z_coefficient_matrix,
 )
+from gvexact.verify import suite_pole_structure, suite_q_lemmas
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -173,7 +158,7 @@ def test_criterion_4_three_path_vev():
         for mu in enumerate_partitions(d):
             for nu in enumerate_partitions(d):
                 for a in range(-2, 3):
-                    cs, ns = me_word(mu, a, nu)
+                    cs, ns = graph_word(mu, nu, a)
                     g = vev_graphs(cs, ns)
                     f = vev_fock(cs, ns)
                     m = QRatio(matrix_element_char(mu, a, nu))
@@ -217,163 +202,12 @@ def test_criterion_6_exponential_formula():
 
 def test_criterion_7_lemma_suites():
     t0 = time.time()
-    rng = random.Random(20240809)
-
-    # membership parities of q-number products
-    for _ in range(150):
-        m = rng.randint(1, 6)
-        parts = [rng.randint(1, 8) for _ in range(m)]
-        prod = QRatio.one()
-        for a in parts:
-            prod = prod * QRatio(qnum(a))
-        in_y = True
-        try:
-            to_y_poly(prod)
-        except NotSymmetricInT:
-            in_y = False
-        assert in_y == (m % 2 == 0)
-        assert (try_to_t_poly(prod) is not None) == (
-            m % 2 == 0 and sum(parts) % 2 == 0
-        )
-
-    # [ka]/[a]: constant term k; even/odd remainder k(1 + y/2)
-    for k in range(1, 13):
-        for a in range(1, 13):
-            f = QRatio(qnum(k * a)) / QRatio(qnum(a))
-            if k % 2 == 1 or a % 2 == 0:
-                p = to_t_poly(f)
-                assert p.is_integral() and p.constant() == k
-            else:
-                ry = to_y_poly(f).mod(RPoly([0, 4, 1]))
-                assert ry == RPoly([k, Fraction(k, 2)])
-
-    # lcm/gcd ratio integral with constant term 1 (>= 200 coprime triples)
-    hits = 0
-    while hits < 200:
-        a, b, c = (rng.randint(1, 20) for _ in range(3))
-        if math.gcd(a, math.gcd(b, c)) != 1:
-            continue
-        hits += 1
-        num = (
-            qnum(math.lcm(a, b, c))
-            * qnum(math.gcd(a, b))
-            * qnum(math.gcd(b, c))
-            * qnum(math.gcd(c, a))
-        )
-        den = qnum(a) * qnum(b) * qnum(c) * qnum(1)
-        f = QRatio(num) / QRatio(den)
-        assert f.is_laurent() and f.num.is_symmetric()
-        assert f.num.has_integer_powers() and f.num.has_integer_coeffs()
-        assert f.num.value_at_one() == 1
-
-    # scaled-partition pole constant k^(l-2)
-    g2 = 0
-    for d in range(2, 7):
-        for lam in enumerate_partitions(d):
-            if len(lam) < 2:
-                continue
-            for k in range(1, 9):
-                if not all(
-                    math.gcd(k, parts_gcd(lam[:i] + lam[i + 1 :])) == 1
-                    for i in range(len(lam))
-                ):
-                    continue
-                if not (k % 2 == 1 or d % 2 == 0):
-                    continue
-                num = QLaurent.one()
-                for part in lam:
-                    num = num * qnum(k * part)
-                f = QRatio(num) / (
-                    QRatio(qnum(k) * qnum(k)) * QRatio(qnum_product(lam))
-                )
-                g, rem = pole_extract(f, 1, "plain")
-                assert g == k ** (len(lam) - 2) and rem.is_integral()
-                g2 += 1
-
-    # t_k binomial formula
-    for k in range(1, 21):
-        assert to_t_poly(t_k_qratio(k)) == t_k_in_t(k)
-
-    # per-tree pole decomposition and the g_T scaling law (criterion-4 scale)
-    ntrees = 0
-    for d in (1, 2, 3, 4):
-        for mu in enumerate_partitions(d):
-            for nu in enumerate_partitions(d):
-                for a in range(-2, 3):
-                    for tr in connected_trees_for(mu, nu, a):
-                        pd = tree_pole_data(tr)
-                        b = amplitude_B(tr)
-                        if pd.type == "III":
-                            pole = (
-                                (ONE + t_k_qratio(pd.m // 2) * Fraction(1, 2))
-                                * pd.g
-                                / t_k_qratio(pd.m)
-                            )
-                        else:
-                            pole = QRatio.const(pd.g) / t_k_qratio(pd.m)
-                        assert to_t_poly(b - pole).is_integral(), (mu, nu, a)
-                        if pd.m > 1:
-                            from gvexact.verify import scale_tree_down
-
-                            base = tree_pole_data(scale_tree_down(tr, pd.m))
-                            assert pd.g == base.g * pd.m ** (
-                                len(mu) + len(nu) - 1
-                            )
-                        ntrees += 1
-
-    # combined amplitudes: cycle-rank split and scaled comparisons
-    ncomb = nscaled = 0
-    for gamma in [(-1, -1), (0, -2), (2, 2), (1, 1, 1)]:
-        r = len(gamma)
-        for d in degree_vectors(r, 3):
-            for rs in enumerate_rsets(r, d):
-                for w in enumerate_combined_forests(rs, gamma, connected_only=True):
-                    beta = w.cycle_rank()
-                    h = amplitude_H(w)
-                    if beta >= 1:
-                        p = try_to_t_poly(h)
-                        assert p is not None and p.is_integral(), (rs, beta)
-                    else:
-                        k = rs.parts_gcd()
-                        p = try_to_t_poly(h * t_k_qratio(k))
-                        assert p is not None and p.is_integral(), (rs,)
-                    ncomb += 1
-                    if beta == 0 and rs.parts_gcd() == 1:
-                        lm, ln, ll = w.l_counts()
-                        expo = lm + ln + ll - 1
-                        l2 = sum(g * x for g, x in zip(gamma, rs.degree()))
-                        vt1 = [
-                            tr
-                            for _, _, tr in w.trees()
-                            if tree_type(tr)[2] == "I"
-                        ]
-                        for k in (2, 3, 4):
-                            hk = amplitude_H(scale_forest(w, k))
-                            ref = h.substitute_power(k) * (k**expo)
-                            if k % 2 == 0:
-                                for tr in vt1:
-                                    m = tree_type(tr)[0]
-                                    ref = ref * (
-                                        ONE
-                                        + t_k_qratio(m * k // 2) * Fraction(1, 2)
-                                    )
-                                if l2 % 2:
-                                    ref = -ref
-                            diff = try_to_t_poly(hk - ref)
-                            assert diff is not None and diff.is_integral(), (
-                                rs,
-                                k,
-                            )
-                            gkw = g_k_of_w(w, k)
-                            assert try_to_t_poly(gkw * T) is not None, (rs, k)
-                            if k > 2:
-                                assert try_to_t_poly(gkw) is not None, (rs, k)
-                            nscaled += 1
-
-    # Mobius key formula
-    for k in range(1, 25):
-        s = sum(mobius(k // kp) for kp in range(1, k + 1) if k % kp == 0)
-        assert s == (1 if k == 1 else 0)
+    lemmas = suite_q_lemmas()
+    poles = suite_pole_structure(
+        max_weight=4,
+        gammas=((-1, -1), (0, -2), (2, 2), (1, 1, 1)),
+        scales=(2, 3, 4),
+    )
 
     # edge maps on every connected graph with <= 6 vertices
     ngraphs = 0
@@ -407,12 +241,7 @@ def test_criterion_7_lemma_suites():
                 phi = edge_map(n, edges)
                 assert all(phi.count(u) >= 1 for u in range(n))
 
-    announce(
-        7,
-        f"q-lemmas, {g2} pole constants, {ntrees} trees, {ncomb} combined "
-        f"forests ({nscaled} scaled checks), edge maps on {ngraphs} graphs",
-        t0,
-    )
+    announce(7, f"{lemmas}; {poles}; edge maps on {ngraphs} graphs", t0)
 
 
 def test_criterion_8_hand_anchors():

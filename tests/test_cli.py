@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gvexact.cli import (
     RunConfig,
     compute_reports,
@@ -22,7 +24,7 @@ def test_parse_gamma():
 
 
 def test_parse_degrees():
-    assert parse_degrees("1,0,0;2,1,0", 3) == [(1, 0, 0), (2, 1, 0)]
+    assert parse_degrees("1,0,0;2,1,0") == [(1, 0, 0), (2, 1, 0)]
 
 
 def test_surfaces(capsys):
@@ -73,13 +75,6 @@ def test_explicit_degrees(capsys):
     assert degrees == [(1, 0, 0), (1, 1, 1)]
 
 
-def test_jobs_do_not_change_output(capsys):
-    _, out1 = run_cli(capsys, "compute", "--surface", "P2", "--max-degree", "2")
-    _, out4 = run_cli(capsys, "compute", "--surface", "P2", "--max-degree", "2",
-                      "--jobs", "4")
-    assert out1 == out4
-
-
 def test_paths_verified(capsys):
     code, out = run_cli(capsys, "compute", "--gamma", "1,1", "--max-degree", "2",
                         "--paths", "def,matrix,graphs")
@@ -108,6 +103,38 @@ def test_verify_subcommand(capsys):
 def test_missing_gamma_is_usage_error(capsys):
     code = main(["compute"])
     assert code == 2
+
+
+@pytest.mark.parametrize("args, config", [
+    (["--surface", "P2", "--paths", "def,matrx"], None),
+    (["--gamma=1,1", "--max-degree", "4", "--paths", "graphs"], None),
+    (["--gamma=1,1", "--max-degree", "5", "--paths", "def,matrix"], None),
+    (["--gamma=1,1", "--degrees", "2,2", "--paths", "graphs"], None),
+    (["--surface", "P2", "--max-degree", "0"], None),
+    (["--surface", "P2", "--degrees", ";"], None),
+    (["--surface", "P2", "--degrees", "1,0"], None),
+    (["--gamma=1"], None),
+    (["--gamma=1,x"], None),
+    (["--gamma=1,1.5"], None),
+    ([], {"gamma": [1]}),
+    ([], {"gamma": [1, 1.5]}),
+    ([], {"gamma": [1, 1], "degrees": []}),
+    ([], {"gamma": [1, 1], "degrees": [[1, 0, 0]]}),
+    ([], {"gamma": [1, 1], "paths": "graphs", "max_total_degree": 4}),
+    ([], {"gamma": [1, 1], "max_total_degree": 2.5}),
+    ([], {"gamma": [1, 1], "paths": ["def"]}),
+])
+def test_bad_compute_input_is_usage_error(tmp_path, capsys, args, config):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        args = args + ["--config", str(path)]
+    code = main(["compute", *args])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_compute_reports_api():

@@ -20,6 +20,7 @@ from gvexact.graph_engine import (
     generate_vev_forests,
     graph_word,
     scale_forest,
+    scale_tree_down,
     tree_leaves,
     tree_pole_data,
     tree_type,
@@ -27,7 +28,7 @@ from gvexact.graph_engine import (
 )
 from gvexact.partitions import RSet, enumerate_partitions
 from gvexact.qalgebra import QRatio, qnum, t_k_qratio, to_t_poly, try_to_t_poly
-from gvexact.schur_vertex import matrix_element_char, me_word, vev_fock
+from gvexact.schur_vertex import matrix_element_char, vev_fock
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -73,7 +74,7 @@ def test_cc_amplitudes_match_derived_values():
             pair = (QRatio(qnum(a * c * c)) / QRatio(qnum(a * c))) ** 2
             got = sorted(map(str, (amplitude_A(f) for f in fs)))
             assert got == sorted(map(str, (single, pair, pair)))
-            total = vev_fock(*me_word((c, c), a, (c, c)))
+            total = vev_fock(*graph_word((c, c), (c, c), a))
             assert single + pair + pair == total
 
 
@@ -90,7 +91,7 @@ def test_three_path_equality():
         for mu in enumerate_partitions(d):
             for nu in enumerate_partitions(d):
                 for a in range(-2, 3):
-                    cs, ns = me_word(mu, a, nu)
+                    cs, ns = graph_word(mu, nu, a)
                     g = vev_graphs(cs, ns)
                     assert g == vev_fock(cs, ns)
                     assert g == QRatio(matrix_element_char(mu, a, nu))
@@ -228,6 +229,10 @@ def test_scale_forest_labels():
         assert b.label % 3 == 0
     with pytest.raises(ValueError):
         scale_forest(w, 0)
+    for f3, f in zip(w3.forests, w.forests):
+        assert tuple(scale_tree_down(t, 3) for t in f3) == f
+        with pytest.raises(ValueError):  # a ValueError, so it holds under -O
+            scale_tree_down(f3[0], 2)
 
 
 # ---------------------------------------------------------------------------

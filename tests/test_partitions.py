@@ -5,12 +5,11 @@ import pytest
 from gvexact.partitions import (
     RSet,
     aut_size,
-    combine,
     conjugate,
     enumerate_partitions,
     enumerate_rsets,
     kappa,
-    partition_stats,
+    parts_gcd,
     pentagonal_p,
     union,
     scale,
@@ -60,11 +59,11 @@ def test_kappa_conjugation_and_parity():
 
 
 def test_partition_stats():
-    assert partition_stats((1, 1))["z"] == 2
-    assert partition_stats((2, 2, 1))["z"] == 8
-    assert partition_stats((3, 1))["conjugate"] == (2, 1, 1)
-    assert partition_stats(())["content_gcd"] == 0
-    assert partition_stats((6, 4, 2))["content_gcd"] == 2
+    assert z_factor((1, 1)) == 2
+    assert z_factor((2, 2, 1)) == 8
+    assert conjugate((3, 1)) == (2, 1, 1)
+    assert parts_gcd(()) == 0
+    assert parts_gcd((6, 4, 2)) == 2
 
 
 def test_class_sizes_sum_to_group_order():
@@ -75,8 +74,8 @@ def test_class_sizes_sum_to_group_order():
 
 
 def test_combine():
-    assert combine("union", (2,), (3, 1)) == (3, 2, 1)
-    assert combine("scale", 3, (2, 1)) == (6, 3)
+    assert union((2,), (3, 1)) == (3, 2, 1)
+    assert scale(3, (2, 1)) == (6, 3)
     assert union((), ()) == ()
     with pytest.raises(ValueError):
         scale(0, (2, 1))

@@ -9,13 +9,13 @@ from gvexact.schur_vertex import (
     W_vertex,
     apply_E,
     matrix_element_char,
-    me_word,
     schur_qrho_hook,
     skew_schur_qrho,
     vacuum,
     vev_fock,
 )
 from gvexact.characters import mn_character
+from gvexact.graph_engine import graph_word
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -207,7 +207,7 @@ def test_vev_matches_matrix_elements():
         for mu in enumerate_partitions(d):
             for nu in enumerate_partitions(d):
                 for a in range(-2, 3):
-                    cs, ns = me_word(mu, a, nu)
+                    cs, ns = graph_word(mu, nu, a)
                     assert vev_fock(cs, ns) == QRatio(
                         matrix_element_char(mu, a, nu)
                     ), (mu, a, nu)

@@ -7,7 +7,6 @@ from gvexact.series import (
     degree_vectors,
     downward_closure,
     f_connected,
-    log_series,
     z_coefficient_def,
     z_coefficient_graphs,
     z_coefficient_matrix,
@@ -68,7 +67,7 @@ def test_log_series_basics():
 def test_log_series_low_degrees():
     gamma = (1, 1, 1)
     zs = build_z_series(gamma, 2)
-    fs = log_series(zs)
+    fs = zs.log()
     # minimal nonzero degree: F = Z
     assert fs.get((1, 0, 0)) == zs.get((1, 0, 0))
     # second order in one variable: F = Z - Z^2/2

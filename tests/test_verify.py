@@ -1,5 +1,7 @@
 import pytest
 
+from gvexact import verify
+from gvexact.qalgebra import NoSuchDecomposition
 from gvexact.verify import SUITES, run_suites
 
 
@@ -21,3 +23,15 @@ def test_unknown_suite_rejected():
 def test_fast_suites_pass():
     results = run_suites(["q-lemmas", "vev-oracle"])
     assert all(ok for _, ok, _ in results)
+
+
+def test_crashing_suite_is_a_failure(monkeypatch):
+    def crash():
+        raise NoSuchDecomposition("modular remainder is not a constant")
+
+    monkeypatch.setitem(verify.SUITES, "q-lemmas", crash)
+    results = run_suites(["q-lemmas", "rset-sanity"])
+    assert results[0] == (
+        "q-lemmas", False, "NoSuchDecomposition: modular remainder is not a constant"
+    )
+    assert results[1][:2] == ("rset-sanity", True)
