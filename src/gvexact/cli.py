@@ -130,9 +130,18 @@ def emit_csv(reports: list[GvReport], out) -> None:
             out.write(f"{dtxt},{g},{n}\n")
 
 
+CONFIG_KEYS = ("gamma", "max_total_degree", "degrees", "paths")
+
+
 def load_config_file(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown}; know {list(CONFIG_KEYS)}")
+    return cfg
 
 
 def config_from_args(args) -> RunConfig:

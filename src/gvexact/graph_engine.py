@@ -220,11 +220,10 @@ def connected_trees_for(mu: Partition, nu: Partition, a: int) -> list[Node]:
     return [f[0] for f in forests_for(mu, nu, a) if len(f) == 1]
 
 
-def forest_canonical(forest: VevForest, with_indices: bool = True) -> tuple:
-    """Canonical serialization; trees sorted, L/R order kept (it is labeled
-    by the sign split, so it is structural)."""
-    trees = [t if with_indices else strip_indices(t) for t in forest]
-    return tuple(sorted(trees))
+def forest_canonical(forest: VevForest) -> tuple:
+    """Canonical serialization without leaf indices; trees sorted, L/R order
+    kept (it is labeled by the sign split, so it is structural)."""
+    return tuple(sorted(strip_indices(t) for t in forest))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Truncated multivariate formal series over exact ratios: the partition
-function by the definitional and matrix-element paths, the formal logarithm,
-and the connected-graph free energy.
+function by the definitional and matrix-element paths, the free energy
+F = log Z by the Euler-operator recursion, and the connected-graph free energy.
 
 Degree vectors are tuples d in Z^r_{>=0}; a DegreeSeries keeps every
 coefficient with total degree up to its cap, sparse across vectors.
@@ -133,8 +133,8 @@ class DegreeSeries:
     """Formal series sum_d c_d Q^d truncated at a total degree.
 
     An optional support set restricts the kept degree vectors further; it
-    must be downward closed under the componentwise order so that products
-    and the logarithm stay consistent.
+    must be downward closed under the componentwise order, because the log
+    recursion reads Z at every degree below a kept one.
     """
 
     def __init__(self, r: int, max_total: int, support: frozenset | None = None):
@@ -170,55 +170,27 @@ class DegreeSeries:
             raise KeyError(f"coefficient at {d} was not computed")
         return self.get(d)
 
-    def items(self):
-        return self.coefficients.items()
-
-    def mul(self, other: "DegreeSeries") -> "DegreeSeries":
-        out = DegreeSeries(self.r, min(self.max_total, other.max_total), self.support)
-        out.constant = self.constant * other.constant
-        acc: dict[tuple[int, ...], QRatio] = {}
-
-        def add(d, v):
-            if v.is_zero():
-                return
-            cur = acc.get(d)
-            acc[d] = v if cur is None else cur + v
-
-        for d1, v1 in self.coefficients.items():
-            if not other.constant.is_zero():
-                add(d1, v1 * other.constant)
-        for d2, v2 in other.coefficients.items():
-            if not self.constant.is_zero():
-                add(d2, v2 * self.constant)
-        for d1, v1 in self.coefficients.items():
-            for d2, v2 in other.coefficients.items():
-                d = tuple(a + b for a, b in zip(d1, d2))
-                if out._keeps(d):
-                    add(d, v1 * v2)
-        for d, v in acc.items():
-            out.set(d, v)
-        return out
-
     def log(self) -> "DegreeSeries":
-        """F = sum_{m>=1} (-1)^(m+1) (Z-1)^m / m; needs constant term 1."""
+        """F = log Z by the Euler-operator recursion
+        |d| F_d = |d| Z_d - sum_{0<e<d} |e| F_e Z_(d-e); needs constant term 1.
+
+        Degrees are visited in graded order, so every e < d is done before d.
+        """
         if self.constant != QRatio.one():
             raise ValueError("log needs a series with constant term 1")
-        s = DegreeSeries(self.r, self.max_total, self.support)
-        for d, v in self.coefficients.items():
-            s.set(d, v)
         out = DegreeSeries(self.r, self.max_total, self.support)
-        power = s
-        m = 1
-        while True:
-            if m > 1 and not power.coefficients:
-                break
-            sign = Fraction((-1) ** (m + 1), m)
-            for d, v in power.coefficients.items():
-                out.set(d, out.get(d) + v * sign)
-            if m >= self.max_total:
-                break
-            power = power.mul(s)
-            m += 1
+        weighted: dict[tuple[int, ...], QRatio] = {}  # |e| F_e
+        for d in degree_vectors(self.r, self.max_total):
+            if not self._keeps(d):
+                continue
+            acc = self.get(d) * sum(d)
+            for e, fe in weighted.items():
+                rest = tuple(a - b for a, b in zip(d, e))
+                if min(rest) >= 0 and rest in self.coefficients:
+                    acc = acc - fe * self.coefficients[rest]
+            if not acc.is_zero():
+                weighted[d] = acc
+                out.set(d, acc / sum(d))
         return out
 
 

@@ -95,9 +95,12 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_verify_subcommand(capsys):
-    code, out = run_cli(capsys, "verify", "--suite", "q-lemmas")
+    code, out = run_cli(
+        capsys, "verify", "--suite", "rset-sanity", "--suite", "vev-oracle"
+    )
     assert code == 0
-    assert "q-lemmas: PASS" in out
+    assert "rset-sanity: PASS" in out
+    assert "vev-oracle: PASS" in out
 
 
 def test_missing_gamma_is_usage_error(capsys):
@@ -123,6 +126,9 @@ def test_missing_gamma_is_usage_error(capsys):
     ([], {"gamma": [1, 1], "paths": "graphs", "max_total_degree": 4}),
     ([], {"gamma": [1, 1], "max_total_degree": 2.5}),
     ([], {"gamma": [1, 1], "paths": ["def"]}),
+    ([], [1, 1]),
+    ([], "P2"),
+    ([], {"gamma": [1, 1], "max_degree": 2}),
 ])
 def test_bad_compute_input_is_usage_error(tmp_path, capsys, args, config):
     if config is not None:

@@ -101,7 +101,7 @@ def test_leaf_index_classes_have_constant_amplitude():
     for mu, nu, a in [((1, 1), (1, 1), 1), ((2, 1), (2, 1), 1), ((1, 1, 1), (2, 1), -1)]:
         classes = defaultdict(set)
         for f in forests_for(mu, nu, a):
-            classes[forest_canonical(f, with_indices=False)].add(str(amplitude_A(f)))
+            classes[forest_canonical(f)].add(str(amplitude_A(f)))
         for amps in classes.values():
             assert len(amps) == 1
 

@@ -68,18 +68,23 @@ def test_p2_small_is_integral():
 
 
 def test_known_local_p2_class_sums():
-    # class-summed integer invariants of the canonical bundle over P^2
-    fs = _p2_free_energy(3)
+    # class-summed integer invariants n^g_D of the canonical bundle over P^2
+    # through D = 5 (Aganagic-Klemm-Marino-Vafa, hep-th/0305132); every
+    # genus not listed vanishes
+    akmv = {
+        (1, 0): 3, (2, 0): -6, (3, 0): 27, (4, 0): -192, (5, 0): 1695,
+        (3, 1): -10, (4, 1): 231, (5, 1): -4452,
+        (4, 2): -102, (5, 2): 5430, (4, 3): 15, (5, 3): -3672,
+        (5, 4): 1386, (5, 5): -270, (5, 6): 21,
+    }
+    fs = _p2_free_energy(5)
     sums: dict[tuple[int, int], int] = {}
-    for d in degree_vectors(3, 3):
+    for d in degree_vectors(3, 5):
         rep = integrality_report(PRESETS["P2"], d, fs.get)
         for g, n in rep.gv_numbers:
             key = (sum(d), g)
             sums[key] = sums.get(key, 0) + n
-    assert sums[(1, 0)] == 3
-    assert sums[(2, 0)] == -6
-    assert sums[(3, 0)] == 27
-    assert sums[(3, 1)] == -10
+    assert sums == akmv
 
 
 def test_scaling_consistency():

@@ -64,6 +64,17 @@ def test_log_series_basics():
         DegreeSeries(2, 2).log()  # constant term 0
 
 
+def test_log_visits_degrees_where_z_vanishes():
+    # log(1 + cQ_1) = sum_k (-1)^(k+1) c^k Q_1^k / k
+    c = ONE + ONE / T
+    z = DegreeSeries(2, 5)
+    z.constant = ONE
+    z.set((1, 0), c)
+    f = z.log()
+    expect = {(k, 0): c**k * QRatio.const((-1) ** (k + 1)) / k for k in range(1, 6)}
+    assert f.coefficients == expect
+
+
 def test_log_series_low_degrees():
     gamma = (1, 1, 1)
     zs = build_z_series(gamma, 2)
