@@ -43,6 +43,10 @@ class RunConfig:
             raise ValueError(
                 f"gamma needs at least two integer entries, got {list(self.gamma)}"
             )
+        if type(self.max_total_degree) is not int or self.max_total_degree < 1:
+            raise ValueError(
+                f"the maximum degree must be an integer >= 1, not {self.max_total_degree!r}"
+            )
         if self.degrees is not None:
             if not self.degrees:
                 raise ValueError("no degree vectors given")
@@ -53,10 +57,6 @@ class RunConfig:
                     raise ValueError(
                         f"bad degree vector {list(vec)}: need {r} entries >= 0, not all 0"
                     )
-        elif type(self.max_total_degree) is not int or self.max_total_degree < 1:
-            raise ValueError(
-                f"the maximum degree must be an integer >= 1, not {self.max_total_degree!r}"
-            )
         top = self.top_degree()
         for name in self.paths:
             if name not in PATH_CAPS:
@@ -75,7 +75,10 @@ class RunConfig:
 def parse_gamma(text: str) -> tuple[int, ...]:
     if text in PRESETS:
         return PRESETS[text]
-    return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
+    entries = text.replace(" ", "").split(",")
+    if "" in entries:
+        raise ValueError(f"empty entry in gamma {text!r}")
+    return tuple(int(x) for x in entries)
 
 
 def parse_degrees(text: str) -> list[tuple[int, ...]]:

@@ -2,9 +2,11 @@
 symmetrization maps onto polynomials in t = [1]^2 and y = [1/2]^2.
 
 Exponents are stored as integers counting units of 1/2 (so the q-power k
-lives at exponent 2k).  Coefficients are Fractions throughout; no floating
-point ever enters.  Pole extraction works by exact polynomial remainder
-arithmetic modulo t_k, never by evaluating at roots of unity.
+lives at exponent 2k).  Laurent polynomials have integer coefficients; every
+rational value, constants included, is a QRatio of two of them, and the t-
+and y-images are polynomials over Fractions.  No floating point ever enters.
+Pole extraction works by exact polynomial remainder arithmetic modulo t_k,
+never by evaluating at roots of unity.
 """
 
 from __future__ import annotations
@@ -30,20 +32,24 @@ class NoSuchDecomposition(ValueError):
 
 
 class QLaurent:
-    """Laurent polynomial in x = q^(1/2) with Fraction coefficients.
+    """Laurent polynomial in x = q^(1/2) with integer coefficients.
 
     Immutable by convention; `coeffs` maps exponent (int, units of 1/2)
-    to a nonzero Fraction.
+    to a nonzero int.  Integral Fractions are accepted and stored as ints;
+    any other coefficient is a ValueError.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: dict[int, Fraction] | None = None):
+    def __init__(self, coeffs: dict[int, int] | None = None):
         c = {}
         if coeffs:
             for e, v in coeffs.items():
                 if v:
-                    c[e] = Fraction(v)
+                    n = int(v)
+                    if n != v:
+                        raise ValueError(f"QLaurent coefficient {v} is not an integer")
+                    c[e] = n
         self.coeffs = c
 
     # -- constructors -------------------------------------------------------
@@ -54,15 +60,15 @@ class QLaurent:
 
     @staticmethod
     def one() -> "QLaurent":
-        return QLaurent({0: Fraction(1)})
+        return QLaurent({0: 1})
 
     @staticmethod
     def const(v) -> "QLaurent":
-        return QLaurent({0: Fraction(v)})
+        return QLaurent({0: v})
 
     @staticmethod
     def monomial(e: int, v=1) -> "QLaurent":
-        return QLaurent({e: Fraction(v)})
+        return QLaurent({e: v})
 
     # -- basic structure ----------------------------------------------------
 
@@ -70,7 +76,7 @@ class QLaurent:
         return not self.coeffs
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: Fraction(1)}
+        return self.coeffs == {0: 1}
 
     def min_exp(self) -> int:
         return min(self.coeffs)
@@ -97,14 +103,10 @@ class QLaurent:
                 c[e] = s
             else:
                 c.pop(e, None)
-        out = QLaurent.__new__(QLaurent)
-        out.coeffs = c
-        return out
+        return _laurent(c)
 
     def __neg__(self) -> "QLaurent":
-        out = QLaurent.__new__(QLaurent)
-        out.coeffs = {e: -v for e, v in self.coeffs.items()}
-        return out
+        return _laurent({e: -v for e, v in self.coeffs.items()})
 
     def __sub__(self, other: "QLaurent") -> "QLaurent":
         return self + (-other)
@@ -115,7 +117,7 @@ class QLaurent:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
-        c: dict[int, Fraction] = {}
+        c: dict[int, int] = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():
                 e = e1 + e2
@@ -124,29 +126,15 @@ class QLaurent:
                     c[e] = s
                 else:
                     c.pop(e, None)
-        out = QLaurent.__new__(QLaurent)
-        out.coeffs = c
-        return out
-
-    def scaled(self, v) -> "QLaurent":
-        v = Fraction(v)
-        if not v:
-            return QLaurent.zero()
-        out = QLaurent.__new__(QLaurent)
-        out.coeffs = {e: c * v for e, c in self.coeffs.items()}
-        return out
+        return _laurent(c)
 
     def shifted(self, k: int) -> "QLaurent":
         """Multiply by x^k."""
-        out = QLaurent.__new__(QLaurent)
-        out.coeffs = {e + k: c for e, c in self.coeffs.items()}
-        return out
+        return _laurent({e + k: c for e, c in self.coeffs.items()})
 
     def substitute_power(self, m: int) -> "QLaurent":
         """The ring map q -> q^m (every exponent multiplied by m)."""
-        out = QLaurent.__new__(QLaurent)
-        out.coeffs = {e * m: c for e, c in self.coeffs.items()}
-        return out
+        return _laurent({e * m: c for e, c in self.coeffs.items()})
 
     # -- predicates and evaluations ------------------------------------------
 
@@ -157,82 +145,69 @@ class QLaurent:
     def has_integer_powers(self) -> bool:
         return all(e % 2 == 0 for e in self.coeffs)
 
-    def has_integer_coeffs(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs.values())
-
-    def value_at_one(self) -> Fraction:
+    def value_at_one(self) -> int:
         """Evaluation at x = 1 (q = 1)."""
-        return sum(self.coeffs.values(), Fraction(0))
+        return sum(self.coeffs.values())
 
     # -- polynomial helpers (treating self as a polynomial in x) -------------
 
-    def divmod_poly(self, other: "QLaurent") -> tuple["QLaurent", "QLaurent"]:
-        """Division with remainder after clearing x-valuations.
-
-        Both operands are shifted so their lowest exponent is 0 (the shift
-        difference lands in the quotient; Laurent units are invertible).
-        """
+    def divide_exact(self, other: "QLaurent") -> "QLaurent":
+        """The Laurent polynomial self/other over Z; raises ValueError when
+        other does not divide self (a leading coefficient that does not
+        divide, or a nonzero remainder)."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        sv = self.min_exp() if self.coeffs else 0
-        ov = other.min_exp()
-        num = dict(self.shifted(-sv).coeffs)
-        den = other.shifted(-ov).coeffs
-        dd = max(den)
-        lead = den[dd]
-        q: dict[int, Fraction] = {}
-        while num:
-            nd = max(num)
-            if nd < dd:
-                break
-            f = num[nd] / lead
-            q[nd - dd] = f
-            for e, v in den.items():
-                e2 = e + nd - dd
-                s = num.get(e2, 0) - f * v
-                if s:
-                    num[e2] = s
-                else:
-                    num.pop(e2, None)
-        quot = QLaurent(q).shifted(sv - ov)
-        rem = QLaurent(num).shifted(sv)
-        return quot, rem
-
-    def divide_exact(self, other: "QLaurent") -> "QLaurent":
-        q, r = self.divmod_poly(other)
-        if not r.is_zero():
+        if self.is_zero():
+            return QLaurent.zero()
+        sv, ov = self.min_exp(), other.min_exp()
+        num = [0] * (self.max_exp() - sv + 1)
+        for e, c in self.coeffs.items():
+            num[e - sv] = c
+        den = [(e - ov, c) for e, c in other.coeffs.items()]
+        dd = other.max_exp() - ov
+        lead = other.coeffs[other.max_exp()]
+        q: dict[int, int] = {}
+        for nd in range(len(num) - 1, dd - 1, -1):
+            if num[nd]:
+                f, r = divmod(num[nd], lead)
+                if r:
+                    raise ValueError("division is not exact")
+                q[nd - dd + sv - ov] = f
+                for e, c in den:
+                    num[e + nd - dd] -= f * c
+        if any(num):
             raise ValueError("division is not exact")
-        return q
-
-    def primitive_int(self) -> tuple[Fraction, dict[int, int]]:
-        """Write self = content * P with P primitive over Z, positive lead."""
-        if not self.coeffs:
-            return Fraction(0), {}
-        den_lcm = math.lcm(*(v.denominator for v in self.coeffs.values()))
-        ints = {e: int(v * den_lcm) for e, v in self.coeffs.items()}
-        g = math.gcd(*(abs(c) for c in ints.values()))
-        if ints[max(ints)] < 0:
-            g = -g
-        return Fraction(g, den_lcm), {e: c // g for e, c in ints.items()}
+        return _laurent(q)
 
     def __repr__(self) -> str:
         return f"QLaurent({format_qlaurent(self)})"
 
 
-def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Primitive gcd of two primitive integer polynomials (min exp 0)."""
+def _laurent(c: dict[int, int]) -> QLaurent:
+    """Wrap a dict that already maps exponents to nonzero ints."""
+    out = QLaurent.__new__(QLaurent)
+    out.coeffs = c
+    return out
 
-    def primitive(p: dict[int, int]) -> dict[int, int]:
-        if not p:
-            return p
-        g = math.gcd(*(abs(c) for c in p.values()))
-        if p[max(p)] < 0:
-            g = -g
-        return {e: c // g for e, c in p.items()}
+
+def _primitive(*polys: dict[int, int]) -> tuple[dict[int, int], ...]:
+    """Integer polynomials divided by the gcd of all their coefficients,
+    signed so that the last one has a positive leading coefficient."""
+    g = math.gcd(*(c for p in polys for c in p.values()))
+    if polys[-1] and polys[-1][max(polys[-1])] < 0:
+        g = -g
+    if g in (0, 1):
+        return polys
+    return tuple({e: c // g for e, c in p.items()} for p in polys)
+
+
+def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Primitive gcd, positive lead, of two nonzero integer polynomials
+    (min exp 0)."""
 
     def pseudo_rem(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
         # primitive pseudo-remainder sequence step
-        du, dv = max(u), max(v)
+        dv = max(v)
         lead = v[dv]
         u = dict(u)
         while u and max(u) >= dv:
@@ -248,19 +223,12 @@ def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
             u = {e: c for e, c in nu.items() if c}
         return u
 
-    a = primitive(a)
-    b = primitive(b)
-    if not a:
-        return b
-    if not b:
-        return a
-    u, v = a, b
+    (u,), (v,) = _primitive(a), _primitive(b)
     if max(u) < max(v):
         u, v = v, u
     while v:
-        r = primitive(pseudo_rem(u, v))
-        u, v = v, r
-    return primitive(u)
+        u, v = v, _primitive(pseudo_rem(u, v))[0]
+    return u
 
 
 def qlaurent_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
@@ -269,10 +237,8 @@ def qlaurent_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
         return b
     if b.is_zero():
         return a
-    _, ai = a.shifted(-a.min_exp()).primitive_int()
-    _, bi = b.shifted(-b.min_exp()).primitive_int()
-    g = _int_poly_gcd(ai, bi)
-    return QLaurent({e: Fraction(c) for e, c in g.items()})
+    g = _int_poly_gcd(a.shifted(-a.min_exp()).coeffs, b.shifted(-b.min_exp()).coeffs)
+    return _laurent(g)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +251,7 @@ def qnum(k: int) -> QLaurent:
     """[k] = q^(k/2) - q^(-k/2)."""
     if k == 0:
         return QLaurent.zero()
-    return QLaurent({k: Fraction(1), -k: Fraction(-1)})
+    return QLaurent({k: 1, -k: -1})
 
 
 def qnum_product(p: Partition) -> QLaurent:
@@ -302,12 +268,13 @@ def qnum_product(p: Partition) -> QLaurent:
 
 
 class QRatio:
-    """Reduced ratio of QLaurents.
+    """Reduced ratio num/den of integer Laurent polynomials.
 
-    Invariants after construction: the denominator is a primitive integer
-    polynomial in x with lowest exponent 0 and positive leading coefficient;
-    num/den share no polynomial factor.  Monomial units stay in the numerator,
-    so the numerator may be a genuine Laurent polynomial.
+    Invariants after construction: den has lowest exponent 0 and a positive
+    leading coefficient; num and den share no polynomial factor, and the gcd
+    of all their coefficients is 1 (a rational constant a/b is QRatio(a, b)).
+    Monomial units stay in the numerator, so the numerator may be a genuine
+    Laurent polynomial.  The form is canonical, so == and hash use (num, den).
     """
 
     __slots__ = ("num", "den")
@@ -324,17 +291,14 @@ class QRatio:
         dv = den.min_exp()
         num = num.shifted(-dv)
         den = den.shifted(-dv)
-        if not den.is_one():
+        if len(den.coeffs) > 1:
             g = qlaurent_gcd(num, den)
             if not g.is_one():
                 num = num.divide_exact(g)
                 den = den.divide_exact(g)
-            cd, di = den.shifted(-den.min_exp()).primitive_int()
-            shift = den.min_exp()
-            num = num.shifted(-shift).scaled(1 / cd)
-            den = QLaurent({e: Fraction(c) for e, c in di.items()})
-        self.num = num
-        self.den = den
+        nc, dc = _primitive(num.coeffs, den.coeffs)
+        self.num = _laurent(nc)
+        self.den = _laurent(dc)
 
     # -- constructors ---------------------------------------------------------
 
@@ -348,7 +312,8 @@ class QRatio:
 
     @staticmethod
     def const(v) -> "QRatio":
-        return QRatio(QLaurent.const(v))
+        v = Fraction(v)
+        return QRatio(QLaurent.const(v.numerator), QLaurent.const(v.denominator))
 
     # -- structure -------------------------------------------------------------
 
@@ -356,7 +321,8 @@ class QRatio:
         return self.num.is_zero()
 
     def is_laurent(self) -> bool:
-        return self.den.is_one()
+        """A Laurent polynomial over Q: the denominator is a constant."""
+        return len(self.den.coeffs) == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -577,39 +543,41 @@ def t_k_in_t(k: int) -> RPoly:
     return p
 
 
-def _laurent_to_poly(p: QLaurent, step: int) -> RPoly:
-    """Symmetric QLaurent with exponents in step*Z -> polynomial (t or y).
+def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
+    """Symmetric numerator with exponents in step*Z over a constant
+    denominator -> polynomial (t or y).
 
     Each pair x^e + x^-e with e = m*step is 2 + t_m, and t_m is t_k_in_t(m)
-    in the target variable (t for step 2, y for step 1)."""
+    in the target variable (t for step 2, y for step 1).  The integer image
+    of the numerator is divided by the denominator at the end."""
+    if not f.is_laurent():
+        raise NotSymmetricInT("nontrivial denominator after reduction")
+    p = f.num
     if not p.is_symmetric():
         raise NotSymmetricInT("not invariant under q -> 1/q")
     if any(e % step for e in p.coeffs):
         raise NotSymmetricInT("exponent parity does not match the target ring")
-    out = [Fraction(0)] * (max(p.coeffs, default=0) // step + 1)
+    out = [0] * (max(p.coeffs, default=0) // step + 1)
     for e, c in p.coeffs.items():
         if e == 0:
             out[0] += c
         elif e > 0:
             out[0] += 2 * c
             for j, a in enumerate(t_k_in_t(e // step).coeffs):
-                out[j] += a * c
-    return RPoly(out)
+                out[j] += a.numerator * c
+    den = f.den.coeffs[0]
+    return RPoly([Fraction(c, den) for c in out])
 
 
 def to_t_poly(f: QRatio) -> RPoly:
     """Unique image in Q[t] of a q->1/q symmetric Laurent polynomial with
     integer q-powers; raises NotSymmetricInT otherwise."""
-    if not f.is_laurent():
-        raise NotSymmetricInT("nontrivial denominator after reduction")
-    return _laurent_to_poly(f.num, 2)
+    return _laurent_to_poly(f, 2)
 
 
 def to_y_poly(f: QRatio) -> RPoly:
     """Same as to_t_poly but onto Q[y], allowing half-integer q-powers."""
-    if not f.is_laurent():
-        raise NotSymmetricInT("nontrivial denominator after reduction")
-    return _laurent_to_poly(f.num, 1)
+    return _laurent_to_poly(f, 1)
 
 
 def try_to_t_poly(f: QRatio) -> RPoly | None:
@@ -686,13 +654,12 @@ def format_qlaurent(p: QLaurent) -> str:
         return "0"
     parts = []
     for e in sorted(p.coeffs):
-        c = format_fraction(p.coeffs[e])
-        parts.append(f"{c}*x^{e}")
+        parts.append(f"{p.coeffs[e]}*x^{e}")
     return " + ".join(parts)
 
 
 def format_qratio(f: QRatio) -> str:
-    if f.is_laurent():
+    if f.den.is_one():
         return format_qlaurent(f.num)
     return f"({format_qlaurent(f.num)}) / ({format_qlaurent(f.den)})"
 

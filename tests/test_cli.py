@@ -129,6 +129,11 @@ def test_missing_gamma_is_usage_error(capsys):
     ([], [1, 1]),
     ([], "P2"),
     ([], {"gamma": [1, 1], "max_degree": 2}),
+    (["--gamma=1,,1"], None),
+    (["--gamma=1,1,"], None),
+    (["--gamma=,1,1"], None),
+    (["--surface", "P2", "--degrees", "1,0,0", "--max-degree", "0"], None),
+    ([], {"gamma": [1, 1], "degrees": [[1, 0]], "max_total_degree": 2.5}),
 ])
 def test_bad_compute_input_is_usage_error(tmp_path, capsys, args, config):
     if config is not None:

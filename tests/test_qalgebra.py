@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gvexact.partitions import enumerate_partitions, parts_gcd
 from gvexact.qalgebra import (
@@ -13,6 +15,7 @@ from gvexact.qalgebra import (
     RPoly,
     format_qratio,
     pole_extract,
+    qlaurent_gcd,
     qnum,
     qnum_product,
     t_k_in_t,
@@ -56,9 +59,9 @@ def test_reduction_normalization():
     f = QRatio(qnum(2) * qnum(3), qnum(3) * qnum(1))
     g = QRatio(qnum(2), qnum(1))
     assert f == g
-    # denominator is a primitive integer polynomial, lowest exponent 0
+    # lowest exponent 0, positive lead, coefficient content 1 over num and den
     assert f.den.min_exp() == 0
-    assert f.den.has_integer_coeffs()
+    assert math.gcd(*f.num.coeffs.values(), *f.den.coeffs.values()) == 1
     assert f.den.coeffs[f.den.max_exp()] > 0
 
 
@@ -186,7 +189,7 @@ def test_lcm_gcd_ratio_is_integral():
         f = QRatio(num) / QRatio(den)
         assert f.is_laurent()
         assert f.num.is_symmetric() and f.num.has_integer_powers()
-        assert f.num.has_integer_coeffs()
+        assert f.den.is_one()
         assert f.num.value_at_one() == 1
 
 
@@ -217,3 +220,94 @@ def test_serialization_exact():
     text = format_qratio(f)
     assert "/" in text or "x^" in text
     assert "." not in text  # never decimal floats
+
+
+# ---------------------------------------------------------------------------
+# Property tests: the integer kernel against Fraction evaluation at points
+# ---------------------------------------------------------------------------
+
+POINTS = (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3))
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+laurents = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=4).map(QLaurent)
+ratios = st.builds(QRatio, laurents, laurents.filter(bool))
+
+
+def value(f: QRatio, x0: Fraction) -> Fraction | None:
+    """f at x = x0 in Fractions, or None where the denominator vanishes."""
+    num, den = (sum(c * x0**e for e, c in p.coeffs.items()) for p in (f.num, f.den))
+    return num / den if den else None
+
+
+def poly_value(p: RPoly, v: Fraction) -> Fraction:
+    return sum(c * v**i for i, c in enumerate(p.coeffs))
+
+
+def assert_normalized(f: QRatio) -> None:
+    coeffs = (*f.num.coeffs.values(), *f.den.coeffs.values())
+    assert all(type(c) is int for c in coeffs)
+    assert f.den.min_exp() == 0 and f.den.coeffs[f.den.max_exp()] > 0
+    assert math.gcd(*coeffs) == 1
+    assert f.den.is_one() if f.is_zero() else qlaurent_gcd(f.num, f.den).is_one()
+
+
+@PROPERTY
+@given(ratios, ratios, st.integers(1, 3))
+def test_ratio_arithmetic_matches_fraction_evaluation(a, b, m):
+    ops = {
+        "+": (a + b, lambda x, y: x + y),
+        "-": (a - b, lambda x, y: x - y),
+        "*": (a * b, lambda x, y: x * y),
+    }
+    if b:
+        ops["/"] = (a / b, lambda x, y: x / y)
+    for f, _ in ops.values():
+        assert_normalized(f)
+    sub = a.substitute_power(m)
+    assert_normalized(sub)
+    assert (a + b) - b == a and hash((a + b) - b) == hash(a)
+    if b:
+        assert (a * b) / b == a
+    for x0 in POINTS:
+        va, vb = value(a, x0), value(b, x0)
+        if va is not None and vb is not None:
+            for op, (f, fn) in ops.items():
+                if op != "/" or vb:
+                    assert value(f, x0) == fn(va, vb), op
+        va_m = value(a, x0**m)
+        if va_m is not None:
+            assert value(sub, x0) == va_m
+
+
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(1, 5), st.integers(-4, 4), max_size=3),
+    st.integers(-4, 4),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_t_and_y_images_match_fraction_evaluation(pairs, c0, den, even):
+    # a symmetric numerator over an integer constant
+    step = 2 if even else 1
+    num = {0: c0}
+    for e, c in pairs.items():
+        num[step * e] = num[-step * e] = c
+    f = QRatio(QLaurent(num), QLaurent.const(den))
+    assert_normalized(f)
+    for x0 in POINTS:
+        expect = value(f, x0)
+        assert poly_value(to_y_poly(f), x0 + 1 / x0 - 2) == expect
+        if even:
+            assert poly_value(to_t_poly(f), (x0 - 1 / x0) ** 2) == expect
+
+
+def test_kernel_rejects_non_integers():
+    with pytest.raises(ValueError):
+        QLaurent({0: Fraction(1, 2)})
+    assert QLaurent({0: Fraction(4, 2)}).coeffs == {0: 2}
+    # 2x + 1 divides neither x + 1 nor 2x^2 + 3x + 2 over Z; the quotient never floors
+    with pytest.raises(ValueError):
+        QLaurent({0: 1, 1: 1}).divide_exact(QLaurent({0: 1, 1: 2}))
+    with pytest.raises(ValueError):
+        QLaurent({0: 2, 1: 3, 2: 2}).divide_exact(QLaurent({0: 1, 1: 2}))
+    assert QRatio.const(Fraction(-2, 6)) == QRatio(QLaurent.const(-1), QLaurent.const(3))
