@@ -149,6 +149,8 @@ def load_config_file(path: str) -> dict:
 
 def config_from_args(args) -> RunConfig:
     """The run the compute flags and the optional config file ask for."""
+    if args.gamma is not None and args.surface is not None:
+        raise ValueError("give --surface or --gamma, not both")
     file_cfg = load_config_file(args.config) if args.config else {}
     gamma = args.gamma or args.surface or file_cfg.get("gamma")
     if gamma is None:

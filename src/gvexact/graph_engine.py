@@ -1,7 +1,7 @@
 """VEV forests from the commutator-rewriting recursion, their amplitudes,
 combined forests with bridges, label scaling with the Mobius-weighted
-combination, per-tree pole data, and the edge-map construction used by the
-pole-cancellation argument.
+combination, per-tree pole data, and the edge maps of the pole-cancellation
+argument, built from one breadth-first spanning tree.
 
 The rewriting is implemented verbatim on operator words: repeatedly take the
 rightmost adjacent pair (a >= 0, b < 0), branch into the swap term and the
@@ -510,118 +510,54 @@ def edge_map(
 
     Cycle rank 0 (tree): requires v; every vertex except v receives exactly
     one edge.  Cycle rank >= 1: every vertex receives at least one edge.
-    Built by the vertex-deletion sequence (backward induction), rerouting
-    along the path to v in the tree case.  Self-loops are rejected;
-    multi-edges are allowed.
+    A breadth-first spanning tree from vertex 0 gives each tree edge to the
+    vertex it first reaches, so only 0 is uncovered.  Flipping the tree path
+    from a target up to 0 moves the uncovered vertex to the target: v for a
+    tree, else the first endpoint of the first non-tree edge.  Every
+    non-tree edge goes to its first endpoint, which covers the target.
+    Self-loops are rejected; multi-edges are allowed.
     """
     if n_vertices < 1:
         raise ValueError("need at least one vertex")
-    for a, b in edges:
+    if v is not None and not 0 <= v < n_vertices:
+        raise ValueError(f"vertex {v} is not in range({n_vertices})")
+    incident: list[list[int]] = [[] for _ in range(n_vertices)]
+    for e, (a, b) in enumerate(edges):
         if a == b:
             raise ValueError("self-loops are not allowed")
-    if count_components(range(n_vertices), edges) != 1:
-        raise ValueError("graph must be connected")
+        if not (0 <= a < n_vertices and 0 <= b < n_vertices):
+            raise ValueError(f"edge {(a, b)} has an endpoint outside range({n_vertices})")
+        incident[a].append(e)
+        incident[b].append(e)
 
-    beta = len(edges) - n_vertices + 1
-    if beta == 0 and v is None:
-        raise ValueError("cycle rank 0 requires a distinguished vertex")
-
-    if beta == 0:
-        # deleting vertex 0 first and inducting assigns every edge to the
-        # endpoint farther from 0; reroute along the path to move the
-        # uncovered vertex from 0 to v
-        phi = [-1] * len(edges)
-        incident: dict[int, list[int]] = {}
-        for e, (a, b) in enumerate(edges):
-            incident.setdefault(a, []).append(e)
-            incident.setdefault(b, []).append(e)
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for e in incident.get(x, ()):
-                    a, b = edges[e]
-                    y = b if a == x else a
-                    if y in seen:
-                        continue
-                    seen.add(y)
+    phi = [-1] * len(edges)
+    up = {0: (0, -1)}  # vertex -> (parent, tree edge to it)
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for e in incident[x]:
+                a, b = edges[e]
+                y = b if a == x else a
+                if y not in up:
+                    up[y] = (x, e)
                     phi[e] = y
                     nxt.append(y)
-            frontier = nxt
-        if v != 0:
-            inv = {phi[e]: e for e in range(len(edges))}
-            cur = v
-            while cur != 0:
-                e = inv[cur]
-                a, b = edges[e]
-                nxt_v = a if b == cur else b
-                phi[e] = nxt_v
-                inv.pop(cur)
-                cur = nxt_v
-        return phi
+        frontier = nxt
+    if len(up) != n_vertices:
+        raise ValueError("graph must be connected")
 
-    order = list(range(n_vertices))  # deletion order; arbitrary per the lemma
-    pos = {u: i for i, u in enumerate(order)}
-    # edge e is deleted together with its earlier-deleted endpoint
-    by_step: dict[int, list[int]] = {}
-    for e, (a, b) in enumerate(edges):
-        by_step.setdefault(min(pos[a], pos[b]), []).append(e)
-    phi = [-1] * len(edges)
-    covered = [False] * n_vertices
-    for i in range(n_vertices - 1, -1, -1):
-        vi = order[i]
-        for e in by_step.get(i, ()):
-            a, b = edges[e]
-            other = a if b == vi else b
-            if covered[other]:
-                phi[e] = vi
-                covered[vi] = True
-            else:
-                phi[e] = other
-                covered[other] = True
-    # beta >= 1: the deletion sequence can miss vertices when the cycle rank
-    # is exactly 1 (the lemma's own statement needs beta > 1).  Coverage can
-    # always be repaired by flipping a chain of assignments toward a vertex
-    # that is covered more than once; such a vertex exists since #E >= #V.
-    counts = [0] * n_vertices
-    for e in range(len(edges)):
-        counts[phi[e]] += 1
-    while True:
-        missing = [u for u in range(n_vertices) if counts[u] == 0]
-        if not missing:
-            break
-        u = missing[0]
-        # BFS along arcs x -> y given by edges assigned to the far endpoint
-        prev: dict[int, tuple[int, int]] = {}
-        frontier = [u]
-        seen = {u}
-        target = None
-        while frontier and target is None:
-            nxt_frontier = []
-            for x in frontier:
-                for e, (a, b) in enumerate(edges):
-                    if x not in (a, b):
-                        continue
-                    y = b if a == x else a
-                    if phi[e] != y or y in seen:
-                        continue
-                    seen.add(y)
-                    prev[y] = (x, e)
-                    if counts[y] >= 2:
-                        target = y
-                        break
-                    nxt_frontier.append(y)
-                if target is not None:
-                    break
-            frontier = nxt_frontier
-        if target is None:
-            raise AssertionError("edge map repair failed; no doubly covered vertex reachable")
-        cur = target
-        while cur != u:
-            x, e = prev[cur]
-            phi[e] = x
-            counts[cur] -= 1
-            counts[x] += 1
-            cur = x
+    non_tree = [e for e, y in enumerate(phi) if y < 0]
+    if non_tree:
+        target = edges[non_tree[0]][0]
+    elif v is None:
+        raise ValueError("cycle rank 0 requires a distinguished vertex")
+    else:
+        target = v
+    # flip the tree path from the target up to 0; the target is now uncovered
+    while target != 0:
+        target, e = up[target]
+        phi[e] = target
+    for e in non_tree:
+        phi[e] = edges[e][0]
     return phi

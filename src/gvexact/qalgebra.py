@@ -291,7 +291,8 @@ class QRatio:
         dv = den.min_exp()
         num = num.shifted(-dv)
         den = den.shifted(-dv)
-        if len(den.coeffs) > 1:
+        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+            # a monomial shares no factor with a den of lowest exponent 0
             g = qlaurent_gcd(num, den)
             if not g.is_one():
                 num = num.divide_exact(g)
@@ -505,12 +506,6 @@ class RPoly:
             raise ValueError("division not exact")
         return q
 
-    def compose(self, other: "RPoly") -> "RPoly":
-        out = RPoly()
-        for c in reversed(self.coeffs):
-            out = out * other + RPoly.const(c)
-        return out
-
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
 
@@ -587,11 +582,6 @@ def try_to_t_poly(f: QRatio) -> RPoly | None:
         return None
 
 
-def t_poly_to_y_poly(p: RPoly) -> RPoly:
-    """Substitute t = y(y+4)."""
-    return p.compose(RPoly([0, 4, 1]))
-
-
 def t_k_qratio(k: int) -> QRatio:
     """t_k = [k]^2 as a QRatio."""
     return QRatio(qnum(k) * qnum(k))
@@ -626,8 +616,8 @@ def pole_extract(f: QRatio, k: int, mode: str = "plain") -> tuple[Fraction, RPol
             p = to_y_poly(prod)
         except NotSymmetricInT as exc:
             raise NoSuchDecomposition(str(exc)) from exc
-        tk_y = t_poly_to_y_poly(t_k_in_t(k))
-        half_y = RPoly.const(1) + t_poly_to_y_poly(t_k_in_t(k // 2)) * Fraction(1, 2)
+        tk_y = to_y_poly(t_k_qratio(k))
+        half_y = to_y_poly(QRatio.one() + t_k_qratio(k // 2) * Fraction(1, 2))
         rp = p.mod(tk_y)
         rh = half_y.mod(tk_y)
         if rh.is_zero():

@@ -22,7 +22,7 @@ from gvexact.partitions import (
     weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qnum
+from gvexact.qalgebra import QLaurent, QRatio, qnum, qnum_product
 
 FockVector = dict[Partition, QRatio]
 
@@ -47,9 +47,7 @@ def skew_schur_qrho(mu: Partition, eta: Partition) -> QRatio:
             chi_mu = mn_character(mu, union(mup, etap))
             if not chi_mu:
                 continue
-            p_val = QRatio.one()
-            for part in mup:
-                p_val = p_val * QRatio(-QLaurent.one(), qnum(part))
+            p_val = QRatio(QLaurent.const((-1) ** len(mup)), qnum_product(mup))
             coeff = Fraction(chi_mu * chi_eta, z_factor(mup) * z_factor(etap))
             total = total + p_val * coeff
     return total

@@ -59,8 +59,7 @@ def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
             pref = QLaurent.monomial(gamma[i] * kappa(lams[i]))
             term = term * QRatio(pref) * W_vertex(lams[i], lams[(i + 1) % r])
         total = total + term
-    sign = -1 if sum(g * di for g, di in zip(gamma, d)) % 2 else 1
-    return total * sign
+    return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
 
 
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
@@ -93,8 +92,7 @@ def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
             zden *= z_factor(p)
         coeff = Fraction(-1 if lsign % 2 else 1, zden)
         total = total + term * coeff / QRatio(den)
-    sign = -1 if sum(g * di for g, di in zip(gamma, d)) % 2 else 1
-    return total * sign
+    return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
 
 
 def z_coefficient_graphs(

@@ -13,6 +13,7 @@ from gvexact.graph_engine import (
     amplitude_B,
     amplitude_H,
     connected_trees_for,
+    count_components,
     edge_map,
     enumerate_combined_forests,
     graph_word,
@@ -215,19 +216,7 @@ def test_criterion_7_lemma_suites():
         all_edges = list(itertools.combinations(range(n), 2))
         for mask in range(1 << len(all_edges)):
             edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a, b in edges:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-            if len({find(x) for x in range(n)}) != 1:
+            if count_components(range(n), edges) != 1:
                 continue
             ngraphs += 1
             beta = len(edges) - n + 1

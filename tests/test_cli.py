@@ -134,6 +134,7 @@ def test_missing_gamma_is_usage_error(capsys):
     (["--gamma=,1,1"], None),
     (["--surface", "P2", "--degrees", "1,0,0", "--max-degree", "0"], None),
     ([], {"gamma": [1, 1], "degrees": [[1, 0]], "max_total_degree": 2.5}),
+    (["--surface", "P2", "--gamma", "1,1", "--max-degree", "1"], None),
 ])
 def test_bad_compute_input_is_usage_error(tmp_path, capsys, args, config):
     if config is not None:

@@ -12,6 +12,7 @@ from gvexact.graph_engine import (
     amplitude_H,
     amplitude_tree,
     connected_trees_for,
+    count_components,
     edge_map,
     enumerate_combined_forests,
     forest_canonical,
@@ -265,6 +266,12 @@ def test_edge_map_rejects_bad_input():
         edge_map(3, [(0, 1)])  # disconnected
     with pytest.raises(ValueError):
         edge_map(3, [(0, 1), (1, 2)])  # tree without a distinguished vertex
+    with pytest.raises(ValueError):
+        edge_map(3, [(0, 1), (1, 3)], v=0)  # endpoint out of range
+    with pytest.raises(ValueError):
+        edge_map(3, [(0, 1), (1, -1)], v=0)  # negative endpoint
+    with pytest.raises(ValueError):
+        edge_map(3, [(0, 1), (1, 2)], v=3)  # distinguished vertex out of range
 
 
 def _connected_graphs(n):
@@ -272,35 +279,55 @@ def _connected_graphs(n):
     all_edges = list(itertools.combinations(verts, 2))
     for mask in range(1 << len(all_edges)):
         edges = [all_edges[i] for i in range(len(all_edges)) if mask >> i & 1]
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        if len({find(x) for x in verts}) == 1:
+        if count_components(verts, edges) == 1:
             yield edges
+
+
+def _assert_edge_map(n, edges, v=None):
+    phi = edge_map(n, edges, v=v)
+    assert all(phi[e] in edges[e] for e in range(len(edges)))
+    counts = [phi.count(u) for u in range(n)]
+    if v is None:
+        assert all(c >= 1 for c in counts)
+    else:
+        assert counts[v] == 0
+        assert all(counts[u] == 1 for u in range(n) if u != v)
 
 
 def test_edge_map_all_small_graphs():
     for n in range(1, 6):
         for edges in _connected_graphs(n):
-            beta = len(edges) - n + 1
-            if beta == 0:
+            if len(edges) == n - 1:
                 for v in range(n):
-                    phi = edge_map(n, edges, v=v)
-                    counts = [phi.count(u) for u in range(n)]
-                    assert counts[v] == 0
-                    assert all(counts[u] == 1 for u in range(n) if u != v)
+                    _assert_edge_map(n, edges, v=v)
             else:
-                phi = edge_map(n, edges)
-                assert all(phi.count(u) >= 1 for u in range(n))
+                _assert_edge_map(n, edges)
+
+
+def test_edge_map_multigraphs():
+    # every connected multigraph on <= 4 vertices with each pair joined 0-2
+    # times, in three edge orders: as listed, every edge reversed, and the
+    # list reversed with each second parallel copy reversed
+    ncases = 0
+    for n in range(1, 5):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mult in itertools.product(range(3), repeat=len(pairs)):
+            edges = [p for p, m in zip(pairs, mult) for _ in range(m)]
+            if count_components(range(n), edges) != 1:
+                continue
+            mixed = [
+                (b, a) if k % 2 else (a, b)
+                for (a, b), m in zip(pairs, mult)
+                for k in range(m)
+            ][::-1]
+            for order in (edges, [(b, a) for a, b in edges], mixed):
+                ncases += 1
+                if len(order) == n - 1:
+                    for v in range(n):
+                        _assert_edge_map(n, order, v=v)
+                else:
+                    _assert_edge_map(n, order)
+    assert ncases == 3 * 647
 
 
 def test_edge_map_multigraphs_from_contractions():
@@ -312,12 +339,10 @@ def test_edge_map_multigraphs_from_contractions():
         verts, edges = w.contracted_graph()
         index = {v: i for i, v in enumerate(verts)}
         e = [(index[a], index[b]) for a, b in edges]
-        beta = w.cycle_rank()
-        if beta == 0:
-            phi = edge_map(len(verts), e, v=0)
+        if w.cycle_rank() == 0:
+            _assert_edge_map(len(verts), e, v=0)
         else:
-            phi = edge_map(len(verts), e)
-            assert all(phi.count(u) >= 1 for u in range(len(verts)))
+            _assert_edge_map(len(verts), e)
 
 
 def test_debug_serialization_golden(request):
