@@ -262,6 +262,18 @@ def qnum_product(p: Partition) -> QLaurent:
     return out
 
 
+@lru_cache(maxsize=None)
+def qfactorial(n: int) -> QLaurent:
+    """[n]! = [1][2]...[n]; [0]! = 1."""
+    return QLaurent.one() if n == 0 else qfactorial(n - 1) * qnum(n)
+
+
+@lru_cache(maxsize=None)
+def qbinomial(n: int, k: int) -> QLaurent:
+    """[n]! / ([k]! [n-k]!), an integer Laurent polynomial for 0 <= k <= n."""
+    return qfactorial(n).divide_exact(qfactorial(k) * qfactorial(n - k))
+
+
 # ---------------------------------------------------------------------------
 # Reduced ratios
 # ---------------------------------------------------------------------------
@@ -284,22 +296,33 @@ class QRatio:
             den = QLaurent.one()
         if den.is_zero():
             raise ZeroDivisionError("QRatio with zero denominator")
+        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+            # a monomial is a unit of the Laurent ring and shares no factor
+            g = qlaurent_gcd(num, den)
+            if not g.is_one():
+                num = num.divide_exact(g)
+                den = den.divide_exact(g)
+        self._normalize(num, den)
+
+    def _normalize(self, num: QLaurent, den: QLaurent) -> None:
+        """Store num/den, already free of common polynomial factors, with
+        den shifted to lowest exponent 0 and the integer content divided out."""
         if num.is_zero():
             self.num = QLaurent.zero()
             self.den = QLaurent.one()
             return
         dv = den.min_exp()
-        num = num.shifted(-dv)
-        den = den.shifted(-dv)
-        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
-            # a monomial shares no factor with a den of lowest exponent 0
-            g = qlaurent_gcd(num, den)
-            if not g.is_one():
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
-        nc, dc = _primitive(num.coeffs, den.coeffs)
+        nc, dc = _primitive(num.shifted(-dv).coeffs, den.shifted(-dv).coeffs)
         self.num = _laurent(nc)
         self.den = _laurent(dc)
+
+    @staticmethod
+    def _coprime(num: QLaurent, den: QLaurent) -> "QRatio":
+        """num/den for operands known to share no polynomial factor: the
+        constructor without the gcd."""
+        out = QRatio.__new__(QRatio)
+        out._normalize(num, den)
+        return out
 
     # -- constructors ---------------------------------------------------------
 
@@ -324,6 +347,10 @@ class QRatio:
     def is_laurent(self) -> bool:
         """A Laurent polynomial over Q: the denominator is a constant."""
         return len(self.den.coeffs) == 1
+
+    def is_monomial(self) -> bool:
+        """A nonzero rational multiple of a power of x, a unit of the ring."""
+        return len(self.num.coeffs) == 1 and len(self.den.coeffs) == 1
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -370,9 +397,15 @@ class QRatio:
     def __rsub__(self, other) -> "QRatio":
         return QRatio._coerce(other) + (-self)
 
+    # Both operands are reduced, so a monomial factor (a unit, constants
+    # included) cannot create a common factor: those products skip the gcd.
+
     def __mul__(self, other) -> "QRatio":
         o = QRatio._coerce(other)
-        return QRatio(self.num * o.num, self.den * o.den)
+        num, den = self.num * o.num, self.den * o.den
+        if self.is_monomial() or o.is_monomial():
+            return QRatio._coprime(num, den)
+        return QRatio(num, den)
 
     __rmul__ = __mul__
 
@@ -380,7 +413,10 @@ class QRatio:
         o = QRatio._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("QRatio division by zero")
-        return QRatio(self.num * o.den, self.den * o.num)
+        num, den = self.num * o.den, self.den * o.num
+        if self.is_monomial() or o.is_monomial():
+            return QRatio._coprime(num, den)
+        return QRatio(num, den)
 
     def __rtruediv__(self, other) -> "QRatio":
         return QRatio._coerce(other) / self

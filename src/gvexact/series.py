@@ -4,22 +4,30 @@ F = log Z by the Euler-operator recursion, and the connected-graph free energy.
 
 Degree vectors are tuples d in Z^r_{>=0}; a DegreeSeries keeps every
 coefficient with total degree up to its cap, sparse across vectors.
+
+Z, log Z and the matrix path run on integer Laurent numerators over the fixed
+denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd;
+each output coefficient is reduced to a QRatio once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from gvexact.graph_engine import amplitude_H, enumerate_combined_forests
 from gvexact.partitions import (
+    Partition,
     enumerate_partitions,
     enumerate_rsets,
     kappa,
     union,
+    weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qnum_product
+from gvexact.qalgebra import QLaurent, QRatio, qbinomial, qfactorial, qnum_product
 from gvexact.schur_vertex import W_vertex, matrix_element_char
 
 
@@ -44,55 +52,92 @@ def _compositions(total: int, r: int):
 # ---------------------------------------------------------------------------
 
 
-def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
-    """(-1)^(gamma.d) sum over r-tuples lambda^i in P_{d_i} of
-    prod_i q^(gamma_i kappa(lambda^i)/2) W(lambda^i, lambda^{i+1})."""
-    r = len(gamma)
-    if len(d) != r or r < 2:
+@lru_cache(maxsize=None)
+def degree_denominator(d: tuple[int, ...]) -> QLaurent:
+    """D_d = prod_i [d_i]!^2: Z_d D_d and |d| F_d D_d are integer Laurent
+    polynomials."""
+    out = QLaurent.one()
+    for di in d:
+        out = out * qfactorial(di) * qfactorial(di)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _w_numerator(mu: Partition, nu: Partition) -> QLaurent:
+    """W(mu, nu) [|mu|]! [|nu|]!, an integer Laurent polynomial."""
+    w = W_vertex(mu, nu)
+    return (w.num * qfactorial(weight(mu)) * qfactorial(weight(nu))).divide_exact(w.den)
+
+
+@lru_cache(maxsize=None)
+def _qfactorial_over(n: int, p: Partition) -> QLaurent:
+    """[n]! / [p] for |p| <= n, an integer Laurent polynomial."""
+    return qfactorial(n).divide_exact(qnum_product(p))
+
+
+def _check_degree(gamma: tuple[int, ...], d: tuple[int, ...]) -> None:
+    if len(d) != len(gamma) or len(gamma) < 2:
         raise ValueError("gamma and degree must share a length r >= 2")
     if not any(d):
         raise ValueError("degree zero is the constant term")
-    total = QRatio.zero()
+
+
+def z_numerator(gamma: tuple[int, ...], d: tuple[int, ...]) -> QLaurent:
+    """Z_d D_d, where Z_d = (-1)^(gamma.d) sum over r-tuples lambda^i in
+    P_{d_i} of prod_i q^(gamma_i kappa(lambda^i)/2) W(lambda^i, lambda^{i+1}).
+
+    Each lambda^i sits in two vertex factors, so D_d splits into one
+    integral W [|mu|]! [|nu|]! per factor and the sum needs no division."""
+    _check_degree(gamma, d)
+    r = len(gamma)
+    total = QLaurent.zero()
     for lams in itertools.product(*(enumerate_partitions(di) for di in d)):
-        term = QRatio.one()
+        term = QLaurent.one()
         for i in range(r):
-            pref = QLaurent.monomial(gamma[i] * kappa(lams[i]))
-            term = term * QRatio(pref) * W_vertex(lams[i], lams[(i + 1) % r])
-        total = total + term
+            term = term * _w_numerator(lams[i], lams[(i + 1) % r])
+        total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
     return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
 
 
+def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
+    """The partition-function coefficient Z_d by the definitional path."""
+    return QRatio(z_numerator(gamma, d), degree_denominator(d))
+
+
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
-    """The same coefficient through r-sets and bosonic matrix elements."""
+    """The same coefficient through r-sets and bosonic matrix elements.
+
+    An r-set term carries 1 / (prod_i [mu^i] [nu^i] z(mu^i) z(nu^i)
+    z(lambda^i)); with |mu^i|, |nu^i| <= d_i and |mu^i| + |lambda^i| = d_i
+    that divides D_d prod_i d_i!^2, so the r-set sum is one integer sum over
+    that common denominator."""
+    _check_degree(gamma, d)
     r = len(gamma)
-    if len(d) != r or r < 2:
-        raise ValueError("gamma and degree must share a length r >= 2")
-    if not any(d):
-        raise ValueError("degree zero is the constant term")
-    total = QRatio.zero()
+    scale = math.prod(math.factorial(di) ** 2 for di in d)
+    total = QLaurent.zero()
     for rs in enumerate_rsets(r, d):
-        term = QRatio.one()
+        term = QLaurent.one()
         for i in range(r):
             bra = union(rs.lam[i], rs.mu[i])
             ket = union(rs.nu[i], rs.lam[(i + 1) % r])
             if bra or ket:
-                term = term * QRatio(matrix_element_char(bra, gamma[i] + 2, ket))
+                term = term * matrix_element_char(bra, gamma[i] + 2, ket)
             if term.is_zero():
                 break
         if term.is_zero():
             continue
-        lsign = sum(len(p) for p in rs.mu) + sum(len(p) for p in rs.nu)
-        den = QLaurent.one()
+        cofactor = QLaurent.one()
         zden = 1
-        for tup in (rs.mu, rs.nu):
-            for p in tup:
-                den = den * qnum_product(p)
-                zden *= z_factor(p)
-        for p in rs.lam:
-            zden *= z_factor(p)
-        coeff = Fraction(-1 if lsign % 2 else 1, zden)
-        total = total + term * coeff / QRatio(den)
-    return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
+        for i in range(r):
+            cofactor = (cofactor * _qfactorial_over(d[i], rs.mu[i])
+                        * _qfactorial_over(d[i], rs.nu[i]))
+            zden *= z_factor(rs.mu[i]) * z_factor(rs.nu[i]) * z_factor(rs.lam[i])
+        lsign = sum(len(p) for p in rs.mu) + sum(len(p) for p in rs.nu)
+        coeff = -(scale // zden) if lsign % 2 else scale // zden
+        total = total + term * cofactor * QLaurent.const(coeff)
+    if sum(g * di for g, di in zip(gamma, d)) % 2:
+        total = -total
+    return QRatio(total, degree_denominator(d) * QLaurent.const(scale))
 
 
 def z_coefficient_graphs(
@@ -130,6 +175,10 @@ def f_connected(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 class DegreeSeries:
     """Formal series sum_d c_d Q^d truncated at a total degree.
 
+    `coefficients` holds the reduced ratios c_d.  A series built by `set`
+    (the partition function) also keeps each numerator c_d D_d as an
+    integer Laurent polynomial, which is what `log` runs on.
+
     An optional support set restricts the kept degree vectors further; it
     must be downward closed under the componentwise order, because the log
     recursion reads Z at every degree below a kept one.
@@ -140,6 +189,7 @@ class DegreeSeries:
         self.max_total = max_total
         self.support = support
         self.coefficients: dict[tuple[int, ...], QRatio] = {}
+        self.numerators: dict[tuple[int, ...], QLaurent] = {}
         self.constant = QRatio.zero()
 
     def _keeps(self, d: tuple[int, ...]) -> bool:
@@ -148,13 +198,27 @@ class DegreeSeries:
         return self.support is None or d in self.support
 
     def set(self, d: tuple[int, ...], v: QRatio) -> None:
+        """Store c_d = v; raises ValueError unless v D_d is an integer
+        Laurent polynomial."""
         if not any(d):
             self.constant = v
         elif self._keeps(d):
-            if v.is_zero():
-                self.coefficients.pop(d, None)
-            else:
-                self.coefficients[d] = v
+            try:
+                num = (v.num * degree_denominator(d)).divide_exact(v.den)
+            except ValueError:
+                raise ValueError(
+                    f"coefficient at {d} times D_d is not an integer Laurent polynomial"
+                ) from None
+            self.set_numerator(d, num)
+
+    def set_numerator(self, d: tuple[int, ...], num: QLaurent) -> None:
+        """Store c_d = num / D_d for a nonzero kept degree d."""
+        if num.is_zero():
+            self.coefficients.pop(d, None)
+            self.numerators.pop(d, None)
+        else:
+            self.numerators[d] = num
+            self.coefficients[d] = QRatio(num, degree_denominator(d))
 
     def get(self, d: tuple[int, ...]) -> QRatio:
         if not any(d):
@@ -172,24 +236,44 @@ class DegreeSeries:
         """F = log Z by the Euler-operator recursion
         |d| F_d = |d| Z_d - sum_{0<e<d} |e| F_e Z_(d-e); needs constant term 1.
 
-        Degrees are visited in graded order, so every e < d is done before d.
+        Multiplied through by D_d it runs on integer numerators with no gcd:
+        FN_d = |d| F_d D_d = |d| ZN_d - sum_{0<e<d} FN_e ZN_(d-e) cof(d, e),
+        where ZN_d = Z_d D_d and cof(d, e) = D_d / (D_e D_(d-e)) =
+        prod_i qbinom(d_i, e_i)^2.  Degrees are visited in graded order, so
+        every e in the box below d is done before d; each F_d is reduced to a
+        QRatio once.  The result keeps only `coefficients`.
         """
         if self.constant != QRatio.one():
             raise ValueError("log needs a series with constant term 1")
         out = DegreeSeries(self.r, self.max_total, self.support)
-        weighted: dict[tuple[int, ...], QRatio] = {}  # |e| F_e
+        weighted: dict[tuple[int, ...], QLaurent] = {}  # FN_e
         for d in degree_vectors(self.r, self.max_total):
             if not self._keeps(d):
                 continue
-            acc = self.get(d) * sum(d)
-            for e, fe in weighted.items():
-                rest = tuple(a - b for a, b in zip(d, e))
-                if min(rest) >= 0 and rest in self.coefficients:
-                    acc = acc - fe * self.coefficients[rest]
+            n = sum(d)
+            acc = self.numerators.get(d, QLaurent.zero()) * QLaurent.const(n)
+            # the box below d; neither 0 nor d itself is in weighted
+            for e in itertools.product(*(range(x + 1) for x in d)):
+                fe = weighted.get(e)
+                if fe is None:
+                    continue
+                rest = self.numerators.get(tuple(a - b for a, b in zip(d, e)))
+                if rest is not None:
+                    acc = acc - fe * rest * _cofactor(d, e)
             if not acc.is_zero():
                 weighted[d] = acc
-                out.set(d, acc / sum(d))
+                out.coefficients[d] = QRatio(acc, degree_denominator(d) * QLaurent.const(n))
         return out
+
+
+def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:
+    """D_d / (D_e D_(d-e)) = prod_i qbinom(d_i, e_i)^2."""
+    out = QLaurent.one()
+    for di, ei in zip(d, e):
+        if 0 < ei < di:
+            b = qbinomial(di, ei)
+            out = out * b * b
+    return out
 
 
 def downward_closure(degrees) -> frozenset:
@@ -216,5 +300,5 @@ def build_z_series(
     z.constant = QRatio.one()
     for d in degree_vectors(r, max_total):
         if support is None or d in support:
-            z.set(d, z_coefficient_def(gamma, d))
+            z.set_numerator(d, z_numerator(gamma, d))
     return z

@@ -26,6 +26,9 @@ RUNS = [
     ["compute", "--gamma=-1,-1", "--max-degree", "4", "--paths", "def,matrix"],
     ["compute", "--surface", "P2", "--degrees", "1,0,0;2,2,0;1,1,1"],
     ["compute", "--surface", "F0", "--max-degree", "3", "--format", "csv"],
+    ["compute", "--surface", "P2", "--max-degree", "6"],
+    ["compute", "--surface", "F0", "--max-degree", "5"],
+    ["compute", "--surface", "B3", "--max-degree", "4", "--paths", "def,matrix"],
 ]
 
 

@@ -87,6 +87,27 @@ def test_known_local_p2_class_sums():
     assert sums == akmv
 
 
+def test_local_p2_kkv_and_genus_zero_through_degree_7():
+    # Katz-Klemm-Vafa (hep-th/9910181): a degree-D curve in P^2 moves in
+    # |C| = P^n, n = D(D+3)/2, with arithmetic genus g = (D-1)(D-2)/2, and the
+    # top two genera of the class sum are fixed by n, g and e(P^2) = 3
+    genus0 = [3, -6, 27, -192, 1695, -17064, 188454]
+    fs = _p2_free_energy(7)
+    sums: dict[tuple[int, int], int] = {}
+    for d in degree_vectors(3, 7):
+        rep = integrality_report(PRESETS["P2"], d, fs.get)
+        assert rep.integral, d
+        for g, n in rep.gv_numbers:
+            sums[sum(d), g] = sums.get((sum(d), g), 0) + n
+    for D in range(1, 8):
+        n, g = D * (D + 3) // 2, (D - 1) * (D - 2) // 2
+        assert max(gi for Di, gi in sums if Di == D) == g
+        assert sums[D, g] == (-1) ** n * (n + 1)
+        if g >= 1:
+            assert sums[D, g - 1] == (-1) ** (n + 1) * ((2 * g - 2) * (n + 1) + 3 * n)
+        assert sums[D, 0] == genus0[D - 1]
+
+
 def test_scaling_consistency():
     fs = _p2_free_energy(4)
     d = (2, 0, 0)

@@ -15,6 +15,8 @@ from gvexact.qalgebra import (
     RPoly,
     format_qratio,
     pole_extract,
+    qbinomial,
+    qfactorial,
     qlaurent_gcd,
     qnum,
     qnum_product,
@@ -231,6 +233,16 @@ PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=4).map(QLaurent)
 ratios = st.builds(QRatio, laurents, laurents.filter(bool))
+# the units of the ring: nonzero Fractions and rational multiples of x^e
+units = st.one_of(
+    st.fractions(max_denominator=12).filter(bool),
+    st.builds(
+        lambda e, c, den: QRatio(QLaurent.monomial(e, c), QLaurent.const(den)),
+        st.integers(-6, 6),
+        st.integers(-9, 9).filter(bool),
+        st.integers(1, 9),
+    ),
+)
 
 
 def value(f: QRatio, x0: Fraction) -> Fraction | None:
@@ -252,8 +264,17 @@ def assert_normalized(f: QRatio) -> None:
 
 
 @PROPERTY
-@given(ratios, ratios, st.integers(1, 3))
-def test_ratio_arithmetic_matches_fraction_evaluation(a, b, m):
+@given(ratios, ratios, st.integers(1, 3), units)
+def test_ratio_arithmetic_matches_fraction_evaluation(a, b, m, u):
+    # a unit factor skips the gcd; the result must equal the full-gcd construction
+    uq = u if isinstance(u, QRatio) else QRatio.const(u)
+    by_unit = QRatio(a.num * uq.num, a.den * uq.den)
+    over_unit = QRatio(a.num * uq.den, a.den * uq.num)
+    assert a * u == u * a == by_unit and a / u == over_unit
+    if a:
+        assert u / a == QRatio(uq.num * a.den, uq.den * a.num)
+    for f in (a * u, a / u):
+        assert_normalized(f)
     ops = {
         "+": (a + b, lambda x, y: x + y),
         "-": (a - b, lambda x, y: x - y),
@@ -299,6 +320,17 @@ def test_t_and_y_images_match_fraction_evaluation(pairs, c0, den, even):
         assert poly_value(to_y_poly(f), x0 + 1 / x0 - 2) == expect
         if even:
             assert poly_value(to_t_poly(f), (x0 - 1 / x0) ** 2) == expect
+
+
+def test_q_factorials_and_binomials():
+    assert qfactorial(0).is_one() and qfactorial(3) == qnum(1) * qnum(2) * qnum(3)
+    for n in range(8):
+        for k in range(n + 1):
+            b = qbinomial(n, k)
+            assert b == qbinomial(n, n - k) and b.is_symmetric()
+            assert b * qfactorial(k) * qfactorial(n - k) == qfactorial(n)
+            # q -> 1 gives the ordinary binomial
+            assert b.value_at_one() == math.comb(n, k)
 
 
 def test_kernel_rejects_non_integers():

@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import pytest
 
-from gvexact.qalgebra import QRatio, t_k_qratio
+from gvexact.gv import PRESETS
+from gvexact.qalgebra import QLaurent, QRatio, t_k_qratio
 from gvexact.series import (
     DegreeSeries,
     build_z_series,
+    degree_denominator,
     degree_vectors,
     downward_closure,
     f_connected,
@@ -73,6 +77,57 @@ def test_log_visits_degrees_where_z_vanishes():
     f = z.log()
     expect = {(k, 0): c**k * QRatio.const((-1) ** (k + 1)) / k for k in range(1, 6)}
     assert f.coefficients == expect
+
+
+def test_set_rejects_coefficients_outside_the_numerator_lattice():
+    z = DegreeSeries(2, 3)
+    with pytest.raises(ValueError):
+        z.set((1, 0), QRatio.const(Fraction(1, 2)))  # D_(1,0) = [1]^2 keeps the 1/2
+    with pytest.raises(ValueError):
+        z.set((1, 1), QRatio(QLaurent.one(), t_k_qratio(3).num))  # [3]^2 divides no D_(1,1)
+    assert not z.coefficients and not z.numerators
+    z.set((2, 0), QRatio(QLaurent.one(), T.num))  # D_(2,0) = [1]^2 [2]^2
+    assert z.numerators[(2, 0)] * T.num == degree_denominator((2, 0))
+    z.set((2, 0), QRatio.zero())
+    assert not z.coefficients and not z.numerators
+
+
+def log_oracle(z: DegreeSeries) -> dict:
+    """The QRatio Euler recursion that DegreeSeries.log replaced:
+    |d| F_d = |d| Z_d - sum_{0<e<d} |e| F_e Z_(d-e), one gcd per operation."""
+    out = {}
+    weighted = {}  # |e| F_e
+    for d in degree_vectors(z.r, z.max_total):
+        if not z._keeps(d):
+            continue
+        acc = z.get(d) * sum(d)
+        for e, fe in weighted.items():
+            rest = tuple(a - b for a, b in zip(d, e))
+            if min(rest) >= 0 and rest in z.coefficients:
+                acc = acc - fe * z.coefficients[rest]
+        if not acc.is_zero():
+            weighted[d] = acc
+            out[d] = acc / sum(d)
+    return out
+
+
+@pytest.mark.parametrize(
+    "gamma, cap, degrees",
+    [
+        (PRESETS["P2"], 5, None),
+        (PRESETS["F0"], 4, None),
+        (PRESETS["B2"], 3, None),
+        (PRESETS["B3"], 3, None),
+        ((0, -2), 5, None),
+        ((-1, -1), 5, None),
+        (PRESETS["P2"], 6, [(2, 2, 2), (1, 1, 0)]),
+    ],
+    ids=["P2", "F0", "B2", "B3", "0,-2", "-1,-1", "P2-support"],
+)
+def test_integer_log_matches_ratio_recursion(gamma, cap, degrees):
+    zs = build_z_series(gamma, cap, degrees=degrees)
+    expect = log_oracle(zs)
+    assert expect and zs.log().coefficients == expect
 
 
 def test_log_series_low_degrees():
