@@ -7,7 +7,7 @@ base variable is x = q^(1/2), and integrality is a verdict, never a rounding.
 
 from gvexact.partitions import Partition, RSet, enumerate_partitions, kappa
 from gvexact.qalgebra import QLaurent, QRatio, RPoly, qnum, qnum_product, t_k_in_t
-from gvexact.gv import GvReport, PRESETS, g_of_d, integrality_report, mobius
+from gvexact.gv import GvReport, PRESETS, integrality_report, mobius
 from gvexact.series import DegreeSeries, build_z_series, z_coefficient_def
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "t_k_in_t",
     "GvReport",
     "PRESETS",
-    "g_of_d",
     "integrality_report",
     "mobius",
     "DegreeSeries",

@@ -100,7 +100,7 @@ def compute_reports(config: RunConfig) -> tuple[list[GvReport], bool]:
     fs = zs.log()
     reports = []
     for d in targets:
-        rep = integrality_report(config.gamma, d, fs.coefficient)
+        rep = integrality_report(config.gamma, d, fs)
         if "matrix" in config.paths:
             rep.paths_agree &= z_coefficient_matrix(config.gamma, d) == zs.get(d)
         if "graphs" in config.paths:

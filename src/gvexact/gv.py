@@ -1,5 +1,6 @@
 """Mobius inversion of the free energy, the t-integrality verdict, and
-Gopakumar-Vafa integer extraction.
+Gopakumar-Vafa integer extraction.  The inversion runs on the free energy's
+integer numerators over one denominator D_d per degree.
 
 The sign convention for extraction: with t = -(2 sin(g_s/2))^2 under
 q = e^(i g_s), the genus-g number is (-1)^(g-1) times the coefficient of
@@ -10,14 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from gvexact.qalgebra import (
     NotSymmetricInT,
+    QLaurent,
     QRatio,
     RPoly,
+    degree_denominator,
     format_fraction,
-    t_k_qratio,
+    qnum,
     to_t_poly,
 )
 
@@ -64,16 +66,6 @@ def mobius_sum(k: int, term) -> QRatio:
     return out
 
 
-def g_of_d(gamma: tuple[int, ...], d: tuple[int, ...], f_lookup) -> QRatio:
-    """G_d = sum over k'|k of (k'/k) mobius(k/k') F_{k' d / k}(q^{k/k'}),
-    k = gcd(d).  `f_lookup` maps a degree vector to its F coefficient."""
-    if not any(d):
-        raise ValueError("degree must be nonzero")
-    k = math.gcd(*d)
-    base = tuple(x // k for x in d)
-    return mobius_sum(k, lambda kp: f_lookup(tuple(kp * x for x in base)) * Fraction(kp, k))
-
-
 @dataclass
 class GvReport:
     gamma: tuple[int, ...]
@@ -98,14 +90,48 @@ class GvReport:
         }
 
 
-def integrality_report(
-    gamma: tuple[int, ...], d: tuple[int, ...], f_lookup
-) -> GvReport:
-    """Compute t*G_d, decide Z[t] membership, extract the integer table."""
-    g = g_of_d(gamma, d, f_lookup)
-    tg = g * t_k_qratio(1)
+def _mobius_cofactor(d: tuple[int, ...], m: int) -> QLaurent:
+    """D_d / D_(d/m)(q^m) = prod_i prod_{j <= d_i, m does not divide j} [j]^2,
+    since D_(d/m)(q^m) = prod_i prod_{j <= d_i/m} [mj]^2."""
+    out = QLaurent.one()
+    for di in d:
+        for j in range(1, di + 1):
+            if j % m:
+                out = out * qnum(j) * qnum(j)
+    return out
+
+
+def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvReport:
+    """Compute t*G_d from the free-energy series `fs` (the weighted series
+    of `DegreeSeries.log`), decide Z[t] membership, extract the integer table.
+
+    G_d = sum over m|k of mobius(m) F_(d/m)(q^m) / m with k = gcd(d), and
+    F_e = FN_e / (|e| D_e) with |d/m| = |d|/m, so every term lies over
+    |d| D_d:
+        G_d = sum_{m|k} mobius(m) FN_(d/m)(q^m) (D_d / D_(d/m)(q^m)) / (|d| D_d).
+    The numerator sum is over integers, and t*G_d = ([1]^2 sum).divide_exact(D_d)
+    / |d| is one exact division.  D_d has leading coefficient 1, so the
+    division succeeds exactly when t*G_d is a Laurent polynomial; when it
+    fails the verdict is "not in Q[t]".  A degree outside the computed range
+    of `fs` is a KeyError."""
+    if not any(d):
+        raise ValueError("degree must be nonzero")
+    if not fs.weighted:
+        raise ValueError("integrality_report needs the free energy from DegreeSeries.log")
+    total = QLaurent.zero()
+    for m in divisors(math.gcd(*d)):
+        mu = mobius(m)
+        if mu:
+            fn = fs.numerator(tuple(x // m for x in d)).substitute_power(m)
+            term = fn * _mobius_cofactor(d, m)
+            total = total + term if mu > 0 else total - term
     try:
-        poly = to_t_poly(tg)
+        tg = (total * qnum(1) * qnum(1)).divide_exact(degree_denominator(d))
+    except ValueError:
+        return GvReport(gamma, d, None, False,
+                        notes="t*G not in Q[t]: nontrivial denominator after reduction")
+    try:
+        poly = to_t_poly(QRatio(tg, QLaurent.const(sum(d))))
     except NotSymmetricInT as exc:
         return GvReport(gamma, d, None, False, notes=f"t*G not in Q[t]: {exc}")
     integral = poly.is_integral()

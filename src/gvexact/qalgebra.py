@@ -274,6 +274,22 @@ def qbinomial(n: int, k: int) -> QLaurent:
     return qfactorial(n).divide_exact(qfactorial(k) * qfactorial(n - k))
 
 
+@lru_cache(maxsize=None)
+def qfactorial_over(n: int, p: Partition) -> QLaurent:
+    """[n]! / [p] for |p| <= n, an integer Laurent polynomial."""
+    return qfactorial(n).divide_exact(qnum_product(p))
+
+
+@lru_cache(maxsize=None)
+def degree_denominator(d: tuple[int, ...]) -> QLaurent:
+    """D_d = prod_i [d_i]!^2: Z_d D_d and |d| F_d D_d are integer Laurent
+    polynomials.  Its leading coefficient is 1."""
+    out = QLaurent.one()
+    for di in d:
+        out = out * qfactorial(di) * qfactorial(di)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Reduced ratios
 # ---------------------------------------------------------------------------

@@ -2,15 +2,20 @@
 character-based matrix elements of q^(a*F2), and a direct Fock-space oracle
 for words in the operators E_c(n).
 
-The specialization sends the power sum p_i to -1/[i].  Charge is fixed at
-zero; a fermionic basis state is indexed by a partition through the
-descending half-integer slot sequence s_i = lambda_i - i + 1/2 (stored
-doubled, as odd integers).
+The specialization sends the power sum p_i to -1/[i].  Skew Schur values and
+W are built from integer character sums as integer Laurent numerators over
+q-factorials (`skew_numerator`, `w_numerator`), with no polynomial gcd; the
+QRatio forms `skew_schur_qrho` and `W_vertex` reduce a cached numerator once
+per entry.
+
+Charge is fixed at zero; a fermionic basis state is indexed by a partition
+through the descending half-integer slot sequence s_i = lambda_i - i + 1/2
+(stored doubled, as odd integers).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+import math
 from functools import lru_cache
 
 from gvexact.characters import mn_character
@@ -22,7 +27,7 @@ from gvexact.partitions import (
     weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qnum, qnum_product
+from gvexact.qalgebra import QLaurent, QRatio, qfactorial, qfactorial_over, qnum
 
 FockVector = dict[Partition, QRatio]
 
@@ -33,24 +38,69 @@ FockVector = dict[Partition, QRatio]
 
 
 @lru_cache(maxsize=None)
+def skew_numerator(mu: Partition, eta: Partition) -> QLaurent:
+    """s_{mu/eta}(q^-rho) [n]!, n = |mu| - |eta|: an integer Laurent polynomial.
+
+    The character expansion with p_i = -1/[i], multiplied by n! e! [n]!
+    (e = |eta|), is a sum of integers times integer polynomials:
+        sum_{rho |- n} (-1)^l(rho) (n!/z_rho) [n]!/[rho]
+            * sum_{sigma |- e} chi^eta(sigma) (e!/z_sigma) chi^mu(rho u sigma).
+    One exact integer division by n! e! ends it; no gcd is taken."""
+    n, e = weight(mu) - weight(eta), weight(eta)
+    if n < 0:
+        return QLaurent.zero()
+    nf, ef = math.factorial(n), math.factorial(e)
+    acc: dict[int, int] = {}
+    for rho in enumerate_partitions(n):
+        inner = 0
+        for sigma in enumerate_partitions(e):
+            chi_eta = mn_character(eta, sigma)
+            if chi_eta:
+                chi_mu = mn_character(mu, union(rho, sigma))
+                inner += chi_eta * (ef // z_factor(sigma)) * chi_mu
+        if inner:
+            c = (nf // z_factor(rho)) * inner
+            if len(rho) % 2:
+                c = -c
+            for x, v in qfactorial_over(n, rho).coeffs.items():
+                acc[x] = acc.get(x, 0) + c * v
+    return QLaurent(acc).divide_exact(QLaurent.const(nf * ef))
+
+
+@lru_cache(maxsize=None)
 def skew_schur_qrho(mu: Partition, eta: Partition) -> QRatio:
-    """s_{mu/eta}(q^-rho) via the character expansion with p_i = -1/[i]."""
-    dm, de = weight(mu), weight(eta)
-    if de > dm:
+    """s_{mu/eta}(q^-rho): its numerator over [|mu| - |eta|]!, reduced once."""
+    n = weight(mu) - weight(eta)
+    if n < 0:
         return QRatio.zero()
-    total = QRatio.zero()
-    for etap in enumerate_partitions(de):
-        chi_eta = mn_character(eta, etap)
-        if not chi_eta:
-            continue
-        for mup in enumerate_partitions(dm - de):
-            chi_mu = mn_character(mu, union(mup, etap))
-            if not chi_mu:
-                continue
-            p_val = QRatio(QLaurent.const((-1) ** len(mup)), qnum_product(mup))
-            coeff = Fraction(chi_mu * chi_eta, z_factor(mup) * z_factor(etap))
-            total = total + p_val * coeff
-    return total
+    return QRatio(skew_numerator(mu, eta), qfactorial(n))
+
+
+@lru_cache(maxsize=None)
+def _falling(m: int, e: int) -> QLaurent:
+    """[m]! / [m-e]! for 0 <= e <= m."""
+    return qfactorial(m).divide_exact(qfactorial(m - e))
+
+
+@lru_cache(maxsize=None)
+def w_numerator(mu: Partition, nu: Partition) -> QLaurent:
+    """W(mu, nu) [m]! [n]! with m = |mu|, n = |nu|: an integer Laurent
+    polynomial,
+        (-1)^(m+n) x^(kappa(mu)+kappa(nu)) sum_eta
+            (s_{mu/eta} [m-e]!) [m]!/[m-e]! (s_{nu/eta} [n-e]!) [n]!/[n-e]!
+    with e = |eta|, summed over skew numerators with no gcd.  Symmetric in
+    (mu, nu); memoized on the sorted pair."""
+    if nu < mu:
+        return w_numerator(nu, mu)
+    m, n = weight(mu), weight(nu)
+    total = QLaurent.zero()
+    for e in range(min(m, n) + 1):
+        inner = QLaurent.zero()
+        for eta in enumerate_partitions(e):
+            inner = inner + skew_numerator(mu, eta) * skew_numerator(nu, eta)
+        total = total + inner * _falling(m, e) * _falling(n, e)
+    total = total.shifted(kappa(mu) + kappa(nu))
+    return -total if (m + n) % 2 else total
 
 
 def schur_qrho_hook(mu: Partition) -> QRatio:
@@ -71,17 +121,10 @@ def schur_qrho_hook(mu: Partition) -> QRatio:
 @lru_cache(maxsize=None)
 def W_vertex(mu: Partition, nu: Partition) -> QRatio:
     """(-1)^(|mu|+|nu|) q^((kappa(mu)+kappa(nu))/2) sum_eta s_{mu/eta} s_{nu/eta}
-    at q^-rho.  The eta-sum stops at min(|mu|, |nu|).  Symmetric in (mu, nu);
-    memoized on the sorted pair."""
+    at q^-rho: `w_numerator` over [|mu|]! [|nu|]!, reduced once."""
     if nu < mu:
         return W_vertex(nu, mu)
-    total = QRatio.zero()
-    for d in range(min(weight(mu), weight(nu)) + 1):
-        for eta in enumerate_partitions(d):
-            total = total + skew_schur_qrho(mu, eta) * skew_schur_qrho(nu, eta)
-    sign = -1 if (weight(mu) + weight(nu)) % 2 else 1
-    pref = QLaurent.monomial(kappa(mu) + kappa(nu), sign)
-    return QRatio(pref) * total
+    return QRatio(w_numerator(mu, nu), qfactorial(weight(mu)) * qfactorial(weight(nu)))
 
 
 @lru_cache(maxsize=None)

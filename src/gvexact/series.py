@@ -6,8 +6,9 @@ Degree vectors are tuples d in Z^r_{>=0}; a DegreeSeries keeps every
 coefficient with total degree up to its cap, sparse across vectors.
 
 Z, log Z and the matrix path run on integer Laurent numerators over the fixed
-denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd;
-each output coefficient is reduced to a QRatio once.
+denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd.  A
+series keeps only the numerators and reduces a coefficient to a QRatio the
+first time it is read.
 """
 
 from __future__ import annotations
@@ -15,20 +16,23 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from gvexact.graph_engine import amplitude_H, enumerate_combined_forests
 from gvexact.partitions import (
-    Partition,
     enumerate_partitions,
     enumerate_rsets,
     kappa,
     union,
-    weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qbinomial, qfactorial, qnum_product
-from gvexact.schur_vertex import W_vertex, matrix_element_char
+from gvexact.qalgebra import (
+    QLaurent,
+    QRatio,
+    degree_denominator,
+    qbinomial,
+    qfactorial_over,
+)
+from gvexact.schur_vertex import matrix_element_char, w_numerator
 
 
 def degree_vectors(r: int, max_total: int):
@@ -52,29 +56,6 @@ def _compositions(total: int, r: int):
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def degree_denominator(d: tuple[int, ...]) -> QLaurent:
-    """D_d = prod_i [d_i]!^2: Z_d D_d and |d| F_d D_d are integer Laurent
-    polynomials."""
-    out = QLaurent.one()
-    for di in d:
-        out = out * qfactorial(di) * qfactorial(di)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _w_numerator(mu: Partition, nu: Partition) -> QLaurent:
-    """W(mu, nu) [|mu|]! [|nu|]!, an integer Laurent polynomial."""
-    w = W_vertex(mu, nu)
-    return (w.num * qfactorial(weight(mu)) * qfactorial(weight(nu))).divide_exact(w.den)
-
-
-@lru_cache(maxsize=None)
-def _qfactorial_over(n: int, p: Partition) -> QLaurent:
-    """[n]! / [p] for |p| <= n, an integer Laurent polynomial."""
-    return qfactorial(n).divide_exact(qnum_product(p))
-
-
 def _check_degree(gamma: tuple[int, ...], d: tuple[int, ...]) -> None:
     if len(d) != len(gamma) or len(gamma) < 2:
         raise ValueError("gamma and degree must share a length r >= 2")
@@ -87,14 +68,15 @@ def z_numerator(gamma: tuple[int, ...], d: tuple[int, ...]) -> QLaurent:
     P_{d_i} of prod_i q^(gamma_i kappa(lambda^i)/2) W(lambda^i, lambda^{i+1}).
 
     Each lambda^i sits in two vertex factors, so D_d splits into one
-    integral W [|mu|]! [|nu|]! per factor and the sum needs no division."""
+    integral W [|mu|]! [|nu|]! (`w_numerator`) per factor and the sum needs
+    no division."""
     _check_degree(gamma, d)
     r = len(gamma)
     total = QLaurent.zero()
     for lams in itertools.product(*(enumerate_partitions(di) for di in d)):
         term = QLaurent.one()
         for i in range(r):
-            term = term * _w_numerator(lams[i], lams[(i + 1) % r])
+            term = term * w_numerator(lams[i], lams[(i + 1) % r])
         total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
     return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
 
@@ -129,8 +111,8 @@ def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
         cofactor = QLaurent.one()
         zden = 1
         for i in range(r):
-            cofactor = (cofactor * _qfactorial_over(d[i], rs.mu[i])
-                        * _qfactorial_over(d[i], rs.nu[i]))
+            cofactor = (cofactor * qfactorial_over(d[i], rs.mu[i])
+                        * qfactorial_over(d[i], rs.nu[i]))
             zden *= z_factor(rs.mu[i]) * z_factor(rs.nu[i]) * z_factor(rs.lam[i])
         lsign = sum(len(p) for p in rs.mu) + sum(len(p) for p in rs.nu)
         coeff = -(scale // zden) if lsign % 2 else scale // zden
@@ -175,21 +157,26 @@ def f_connected(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 class DegreeSeries:
     """Formal series sum_d c_d Q^d truncated at a total degree.
 
-    `coefficients` holds the reduced ratios c_d.  A series built by `set`
-    (the partition function) also keeps each numerator c_d D_d as an
-    integer Laurent polynomial, which is what `log` runs on.
+    The series holds integer Laurent numerators: c_d = numerators[d] / D_d,
+    or c_d = numerators[d] / (|d| D_d) for a `weighted` series.  The
+    partition function keeps ZN_d = Z_d D_d; its log, the free energy, is
+    weighted and keeps FN_d = |d| F_d D_d.  `get` (and `coefficients`)
+    reduces a coefficient to a canonical QRatio the first time it is read
+    and caches it, so a run that reads only numerators takes no gcd.
 
     An optional support set restricts the kept degree vectors further; it
     must be downward closed under the componentwise order, because the log
     recursion reads Z at every degree below a kept one.
     """
 
-    def __init__(self, r: int, max_total: int, support: frozenset | None = None):
+    def __init__(self, r: int, max_total: int, support: frozenset | None = None,
+                 weighted: bool = False):
         self.r = r
         self.max_total = max_total
         self.support = support
-        self.coefficients: dict[tuple[int, ...], QRatio] = {}
+        self.weighted = weighted
         self.numerators: dict[tuple[int, ...], QLaurent] = {}
+        self._ratios: dict[tuple[int, ...], QRatio] = {}
         self.constant = QRatio.zero()
 
     def _keeps(self, d: tuple[int, ...]) -> bool:
@@ -197,14 +184,18 @@ class DegreeSeries:
             return False
         return self.support is None or d in self.support
 
+    def _denominator(self, d: tuple[int, ...]) -> QLaurent:
+        den = degree_denominator(d)
+        return den * QLaurent.const(sum(d)) if self.weighted else den
+
     def set(self, d: tuple[int, ...], v: QRatio) -> None:
-        """Store c_d = v; raises ValueError unless v D_d is an integer
-        Laurent polynomial."""
+        """Store c_d = v; raises ValueError unless v times the denominator
+        of d is an integer Laurent polynomial."""
         if not any(d):
             self.constant = v
         elif self._keeps(d):
             try:
-                num = (v.num * degree_denominator(d)).divide_exact(v.den)
+                num = (v.num * self._denominator(d)).divide_exact(v.den)
             except ValueError:
                 raise ValueError(
                     f"coefficient at {d} times D_d is not an integer Laurent polynomial"
@@ -212,25 +203,36 @@ class DegreeSeries:
             self.set_numerator(d, num)
 
     def set_numerator(self, d: tuple[int, ...], num: QLaurent) -> None:
-        """Store c_d = num / D_d for a nonzero kept degree d."""
+        """Store the numerator of c_d for a nonzero kept degree d."""
+        self._ratios.pop(d, None)
         if num.is_zero():
-            self.coefficients.pop(d, None)
             self.numerators.pop(d, None)
         else:
             self.numerators[d] = num
-            self.coefficients[d] = QRatio(num, degree_denominator(d))
+
+    def numerator(self, d: tuple[int, ...]) -> QLaurent:
+        """The numerator at a nonzero degree d; a degree outside the
+        computed range is a KeyError rather than a silent zero."""
+        if not self._keeps(d):
+            raise KeyError(f"coefficient at {d} was not computed")
+        return self.numerators.get(d, QLaurent.zero())
 
     def get(self, d: tuple[int, ...]) -> QRatio:
+        """c_d as a canonical QRatio, reduced on first read."""
         if not any(d):
             return self.constant
-        return self.coefficients.get(d, QRatio.zero())
+        out = self._ratios.get(d)
+        if out is None:
+            num = self.numerators.get(d)
+            if num is None:
+                return QRatio.zero()
+            out = self._ratios[d] = QRatio(num, self._denominator(d))
+        return out
 
-    def coefficient(self, d: tuple[int, ...]) -> QRatio:
-        """Like get, but a degree outside the computed range is an error
-        rather than a silent zero."""
-        if any(d) and not self._keeps(d):
-            raise KeyError(f"coefficient at {d} was not computed")
-        return self.get(d)
+    @property
+    def coefficients(self) -> dict[tuple[int, ...], QRatio]:
+        """Every nonzero c_d as a reduced ratio; reading it reduces them all."""
+        return {d: self.get(d) for d in self.numerators}
 
     def log(self) -> "DegreeSeries":
         """F = log Z by the Euler-operator recursion
@@ -240,29 +242,27 @@ class DegreeSeries:
         FN_d = |d| F_d D_d = |d| ZN_d - sum_{0<e<d} FN_e ZN_(d-e) cof(d, e),
         where ZN_d = Z_d D_d and cof(d, e) = D_d / (D_e D_(d-e)) =
         prod_i qbinom(d_i, e_i)^2.  Degrees are visited in graded order, so
-        every e in the box below d is done before d; each F_d is reduced to a
-        QRatio once.  The result keeps only `coefficients`.
+        every e in the box below d is done before d.  The result is the
+        weighted series of the FN_d; nothing is reduced here.
         """
-        if self.constant != QRatio.one():
-            raise ValueError("log needs a series with constant term 1")
-        out = DegreeSeries(self.r, self.max_total, self.support)
-        weighted: dict[tuple[int, ...], QLaurent] = {}  # FN_e
+        if self.weighted or self.constant != QRatio.one():
+            raise ValueError("log needs an unweighted series with constant term 1")
+        out = DegreeSeries(self.r, self.max_total, self.support, weighted=True)
+        fn = out.numerators  # FN_e
         for d in degree_vectors(self.r, self.max_total):
             if not self._keeps(d):
                 continue
-            n = sum(d)
-            acc = self.numerators.get(d, QLaurent.zero()) * QLaurent.const(n)
-            # the box below d; neither 0 nor d itself is in weighted
+            acc = self.numerators.get(d, QLaurent.zero()) * QLaurent.const(sum(d))
+            # the box below d; neither 0 nor d itself is in fn
             for e in itertools.product(*(range(x + 1) for x in d)):
-                fe = weighted.get(e)
+                fe = fn.get(e)
                 if fe is None:
                     continue
                 rest = self.numerators.get(tuple(a - b for a, b in zip(d, e)))
                 if rest is not None:
                     acc = acc - fe * rest * _cofactor(d, e)
             if not acc.is_zero():
-                weighted[d] = acc
-                out.coefficients[d] = QRatio(acc, degree_denominator(d) * QLaurent.const(n))
+                fn[d] = acc
         return out
 
 

@@ -1,0 +1,91 @@
+"""Reference implementations kept as test oracles.
+
+These are the ratio-arithmetic versions that the integer pipeline replaced:
+the skew-Schur character sum and the vertex weight as sums of reduced
+QRatios, and the Mobius inversion G_d with its t-integrality verdict as a
+QRatio sum over a coefficient lookup.  Each addition reduces by a polynomial
+gcd, so they are slow but independent of the numerator bookkeeping.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from gvexact.characters import mn_character
+from gvexact.gv import GvReport, divisors, mobius
+from gvexact.partitions import enumerate_partitions, kappa, union, weight, z_factor
+from gvexact.qalgebra import (
+    NotSymmetricInT,
+    QLaurent,
+    QRatio,
+    qnum_product,
+    t_k_qratio,
+    to_t_poly,
+)
+
+
+def skew_schur_oracle(mu, eta) -> QRatio:
+    """s_{mu/eta}(q^-rho) via the character expansion with p_i = -1/[i]."""
+    dm, de = weight(mu), weight(eta)
+    if de > dm:
+        return QRatio.zero()
+    total = QRatio.zero()
+    for etap in enumerate_partitions(de):
+        chi_eta = mn_character(eta, etap)
+        if not chi_eta:
+            continue
+        for mup in enumerate_partitions(dm - de):
+            chi_mu = mn_character(mu, union(mup, etap))
+            if not chi_mu:
+                continue
+            p_val = QRatio(QLaurent.const((-1) ** len(mup)), qnum_product(mup))
+            coeff = Fraction(chi_mu * chi_eta, z_factor(mup) * z_factor(etap))
+            total = total + p_val * coeff
+    return total
+
+
+def w_vertex_oracle(mu, nu, skew=skew_schur_oracle) -> QRatio:
+    """(-1)^(|mu|+|nu|) q^((kappa(mu)+kappa(nu))/2) sum_eta s_{mu/eta} s_{nu/eta}
+    at q^-rho, summed as QRatios."""
+    total = QRatio.zero()
+    for d in range(min(weight(mu), weight(nu)) + 1):
+        for eta in enumerate_partitions(d):
+            total = total + skew(mu, eta) * skew(nu, eta)
+    sign = -1 if (weight(mu) + weight(nu)) % 2 else 1
+    return QRatio(QLaurent.monomial(kappa(mu) + kappa(nu), sign)) * total
+
+
+def g_of_d(gamma, d, f_lookup) -> QRatio:
+    """G_d = sum over k'|k of (k'/k) mobius(k/k') F_{k' d / k}(q^{k/k'}),
+    k = gcd(d).  `f_lookup` maps a degree vector to its F coefficient."""
+    if not any(d):
+        raise ValueError("degree must be nonzero")
+    k = math.gcd(*d)
+    base = tuple(x // k for x in d)
+    out = QRatio.zero()
+    for kp in divisors(k):
+        mu = mobius(k // kp)
+        if mu:
+            term = f_lookup(tuple(kp * x for x in base)) * Fraction(kp, k)
+            term = term.substitute_power(k // kp)
+            out = out + term if mu > 0 else out - term
+    return out
+
+
+def integrality_report_oracle(gamma, d, f_lookup) -> GvReport:
+    """t*G_d from g_of_d, its Z[t] verdict and the integer table."""
+    tg = g_of_d(gamma, d, f_lookup) * t_k_qratio(1)
+    try:
+        poly = to_t_poly(tg)
+    except NotSymmetricInT as exc:
+        return GvReport(gamma, d, None, False, notes=f"t*G not in Q[t]: {exc}")
+    integral = poly.is_integral()
+    gv_numbers = []
+    if integral:
+        for gi in range(poly.degree() + 1):
+            c = poly[gi]
+            if c:
+                gv_numbers.append((gi, int(c) * (-1 if gi % 2 == 0 else 1)))
+    notes = "" if integral else "t*G has a non-integer coefficient"
+    return GvReport(gamma, d, poly, integral, gv_numbers, notes)

@@ -35,6 +35,7 @@ from gvexact.series import (
     z_coefficient_matrix,
 )
 from gvexact.verify import suite_pole_structure, suite_q_lemmas
+from oracles import g_of_d
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -75,7 +76,7 @@ def test_criterion_1_integrality_presets():
         gamma, cap, targets = preset_targets(name)
         zs, fs = free_energy(gamma, cap, degrees=targets)
         for d in targets:
-            rep = integrality_report(gamma, d, fs.get)
+            rep = integrality_report(gamma, d, fs)
             assert rep.integral, (name, d, rep.notes)
             checked += 1
     announce(1, f"t*G in Z[t] at {checked} degrees over 5 presets", t0)
@@ -87,7 +88,7 @@ def test_criterion_2_non_geometric():
     for gamma in [(-1, -1), (0, -2), (2, 2)]:
         zs, fs = free_energy(gamma, 4)
         for d in degree_vectors(2, 4):
-            rep = integrality_report(gamma, d, fs.get)
+            rep = integrality_report(gamma, d, fs)
             assert rep.integral, (gamma, d, rep.notes)
             checked += 1
     announce(2, f"t*G in Z[t] at {checked} non-geometric degrees", t0)
@@ -237,12 +238,11 @@ def test_criterion_8_hand_anchors():
     t0 = time.time()
     gamma = PRESETS["P2"]
     zs, fs = free_energy(gamma, 2)
-    from gvexact.gv import g_of_d
 
     total_n0 = 0
     for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
         assert g_of_d(gamma, d, fs.get) == -(ONE / T)
-        rep = integrality_report(gamma, d, fs.get)
+        rep = integrality_report(gamma, d, fs)
         assert rep.g_poly == RPoly([-1]) and rep.gv_numbers == [(0, 1)]
         total_n0 += dict(rep.gv_numbers)[0]
     assert total_n0 == 3  # class-summed degree-1 invariant of local P^2

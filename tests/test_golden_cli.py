@@ -29,6 +29,7 @@ RUNS = [
     ["compute", "--surface", "P2", "--max-degree", "6"],
     ["compute", "--surface", "F0", "--max-degree", "5"],
     ["compute", "--surface", "B3", "--max-degree", "4", "--paths", "def,matrix"],
+    ["compute", "--surface", "P2", "--max-degree", "8"],
 ]
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,12 +7,12 @@ from gvexact.gv import (
     GvReport,
     PRESETS,
     divisors,
-    g_of_d,
     integrality_report,
     mobius,
 )
-from gvexact.qalgebra import QRatio, RPoly, t_k_qratio
-from gvexact.series import build_z_series, degree_vectors
+from gvexact.qalgebra import QLaurent, QRatio, RPoly, t_k_qratio
+from gvexact.series import DegreeSeries, build_z_series, degree_vectors
+from oracles import g_of_d, integrality_report_oracle
 
 T = t_k_qratio(1)
 
@@ -53,7 +54,7 @@ def test_g_of_d_divisor_expansion():
 def test_degree_one_anchor():
     fs = _p2_free_energy(2)
     assert g_of_d(PRESETS["P2"], (1, 0, 0), fs.get) == -(QRatio.one() / T)
-    rep = integrality_report(PRESETS["P2"], (1, 0, 0), fs.get)
+    rep = integrality_report(PRESETS["P2"], (1, 0, 0), fs)
     assert rep.integral
     assert rep.g_poly == RPoly([-1])
     assert rep.gv_numbers == [(0, 1)]
@@ -62,7 +63,7 @@ def test_degree_one_anchor():
 def test_p2_small_is_integral():
     fs = _p2_free_energy(4)
     for d in degree_vectors(3, 4):
-        rep = integrality_report(PRESETS["P2"], d, fs.get)
+        rep = integrality_report(PRESETS["P2"], d, fs)
         assert rep.integral, (d, rep.notes)
         assert rep.g_poly is not None and rep.g_poly.is_integral()
 
@@ -80,7 +81,7 @@ def test_known_local_p2_class_sums():
     fs = _p2_free_energy(5)
     sums: dict[tuple[int, int], int] = {}
     for d in degree_vectors(3, 5):
-        rep = integrality_report(PRESETS["P2"], d, fs.get)
+        rep = integrality_report(PRESETS["P2"], d, fs)
         for g, n in rep.gv_numbers:
             key = (sum(d), g)
             sums[key] = sums.get(key, 0) + n
@@ -95,7 +96,7 @@ def test_local_p2_kkv_and_genus_zero_through_degree_7():
     fs = _p2_free_energy(7)
     sums: dict[tuple[int, int], int] = {}
     for d in degree_vectors(3, 7):
-        rep = integrality_report(PRESETS["P2"], d, fs.get)
+        rep = integrality_report(PRESETS["P2"], d, fs)
         assert rep.integral, d
         for g, n in rep.gv_numbers:
             sums[sum(d), g] = sums.get((sum(d), g), 0) + n
@@ -106,6 +107,100 @@ def test_local_p2_kkv_and_genus_zero_through_degree_7():
         if g >= 1:
             assert sums[D, g - 1] == (-1) ** (n + 1) * ((2 * g - 2) * (n + 1) + 3 * n)
         assert sums[D, 0] == genus0[D - 1]
+
+
+@pytest.mark.parametrize(
+    "gamma, cap, degrees",
+    [
+        (PRESETS["P2"], 6, None),
+        (PRESETS["F0"], 5, None),
+        (PRESETS["B3"], 4, None),
+        ((0, -2), 5, None),
+        ((-1, -1), 6, None),
+        (PRESETS["P2"], 6, [(1, 1, 0), (2, 2, 2)]),
+    ],
+    ids=["P2", "F0", "B3", "0,-2", "-1,-1", "P2-support"],
+)
+def test_report_matches_ratio_oracle(gamma, cap, degrees):
+    fs = build_z_series(gamma, cap, degrees=degrees).log()
+    targets = degrees or list(degree_vectors(len(gamma), cap))
+    assert any(math.gcd(*d) > 1 for d in targets)
+    keys = ("t_times_G", "integral", "gv")
+    for d in targets:
+        got = integrality_report(gamma, d, fs).to_json_obj()
+        want = integrality_report_oracle(gamma, d, fs.get).to_json_obj()
+        assert [got[k] for k in keys] == [want[k] for k in keys], d
+
+
+def _z_with(degree, value):
+    z = DegreeSeries(2, sum(degree))
+    z.constant = QRatio.one()
+    z.set(degree, value)
+    return z
+
+
+def test_non_integral_verdicts():
+    # Z_(2,0) = 1/[2]^2: t*G_(2,0) = [1]^2/[2]^2 is no Laurent polynomial,
+    # so the exact division by D_(2,0) fails
+    not_laurent = _z_with((2, 0), QRatio(QLaurent.one(), t_k_qratio(2).num)).log()
+    # Z_(1,0) = x: t*G_(1,0) = x [1]^2 is not invariant under q -> 1/q
+    not_symmetric = _z_with((1, 0), QRatio(QLaurent.monomial(1))).log()
+    for fs, d in [(not_laurent, (2, 0)), (not_symmetric, (1, 0))]:
+        for rep in (integrality_report((0, 0), d, fs),
+                    integrality_report_oracle((0, 0), d, fs.get)):
+            assert rep.integral is False and rep.g_poly is None, d
+            assert rep.notes.startswith("t*G not in Q[t]")
+            assert rep.to_json_obj()["t_times_G"] == []
+    # a hand-built free energy F_(1,1) = 1/2 gives t*G = t/2
+    half = DegreeSeries(2, 2, weighted=True)
+    half.set((1, 1), QRatio.const(Fraction(1, 2)))
+    for rep in (integrality_report((0, 0), (1, 1), half),
+                integrality_report_oracle((0, 0), (1, 1), half.get)):
+        assert rep.integral is False and rep.g_poly == RPoly([0, Fraction(1, 2)])
+        assert rep.gv_numbers == []
+
+
+def test_report_refuses_degrees_outside_the_series():
+    fs = _p2_free_energy(2)
+    with pytest.raises(KeyError):
+        integrality_report(PRESETS["P2"], (3, 0, 0), fs)
+    with pytest.raises(ValueError):
+        integrality_report(PRESETS["P2"], (0, 0, 0), fs)
+    with pytest.raises(ValueError):
+        integrality_report(PRESETS["P2"], (1, 0, 0), build_z_series(PRESETS["P2"], 2))
+
+
+def test_local_f0_kkv_and_genus_zero_through_degree_6():
+    # class (a, b) = (d1 + d3, d2 + d4) of local P^1 x P^1: |C| = P^n with
+    # n = (a+1)(b+1) - 1, arithmetic genus g = (a-1)(b-1) and e(F0) = 4, so
+    # Katz-Klemm-Vafa (hep-th/9910181) fix the top two genera; the genus-0
+    # values are those of Chiang-Klemm-Yau-Zaslow (hep-th/9903053)
+    genus0 = {(1, 0): -2, (1, 1): -4, (1, 2): -6, (2, 2): -32, (2, 3): -110,
+              (2, 4): -288, (3, 3): -756}
+    fs = build_z_series(PRESETS["F0"], 6).log()
+    sums: dict[tuple[int, int, int], int] = {}
+    for d in degree_vectors(4, 6):
+        rep = integrality_report(PRESETS["F0"], d, fs)
+        assert rep.integral, d
+        key = (d[0] + d[2], d[1] + d[3])
+        for g, n in rep.gv_numbers:
+            sums[key + (g,)] = sums.get(key + (g,), 0) + n
+    sums = {k: n for k, n in sums.items() if n}
+    for a in range(7):
+        for b in range(7 - a):
+            if not a + b:
+                continue
+            n, g = (a + 1) * (b + 1) - 1, (a - 1) * (b - 1)
+            genera = [gi for ai, bi, gi in sums if (ai, bi) == (a, b)]
+            if g < 0:
+                assert not genera, (a, b)
+                continue
+            assert max(genera) == g, (a, b)
+            assert sums[a, b, g] == (-1) ** n * (n + 1), (a, b)
+            if g >= 1:
+                assert sums[a, b, g - 1] == (-1) ** (n + 1) * ((2 * g - 2) * (n + 1) + 4 * n)
+    for (a, b), n0 in genus0.items():
+        assert sums[a, b, 0] == sums[b, a, 0] == n0, (a, b)
 
 
 def test_scaling_consistency():
@@ -126,7 +221,7 @@ def test_scaling_consistency():
 
 def test_report_serialization():
     fs = _p2_free_energy(2)
-    rep = integrality_report(PRESETS["P2"], (1, 1, 0), fs.get)
+    rep = integrality_report(PRESETS["P2"], (1, 1, 0), fs)
     obj = rep.to_json_obj()
     assert obj["gamma"] == [1, 1, 1]
     assert obj["degree"] == [1, 1, 0]

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -16,6 +17,7 @@ from gvexact.schur_vertex import (
 )
 from gvexact.characters import mn_character
 from gvexact.graph_engine import graph_word
+from oracles import skew_schur_oracle, w_vertex_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -87,6 +89,18 @@ def test_w_vertex_symmetry():
             for mu in enumerate_partitions(dm):
                 for nu in enumerate_partitions(dn):
                     assert W_vertex(mu, nu) == W_vertex(nu, mu)
+
+
+def test_w_vertex_matches_ratio_oracle():
+    # the integer-numerator W and skew Schur values against the QRatio
+    # character sums they replaced, on every pair with |mu| + |nu| <= 8
+    skew = lru_cache(maxsize=None)(skew_schur_oracle)
+    for dm in range(9):
+        for dn in range(9 - dm):
+            for mu in enumerate_partitions(dm):
+                for nu in enumerate_partitions(dn):
+                    assert skew_schur_qrho(mu, nu) == skew(mu, nu), (mu, nu)
+                    assert W_vertex(mu, nu) == w_vertex_oracle(mu, nu, skew), (mu, nu)
 
 
 def test_w_vertex_from_matrix_elements():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvexact.gv import PRESETS
+from gvexact.gv import PRESETS, integrality_report
 from gvexact.qalgebra import QLaurent, QRatio, t_k_qratio
 from gvexact.series import (
     DegreeSeries,
@@ -178,11 +178,24 @@ def test_downward_closure():
     assert s == {(1, 0), (2, 0), (0, 1), (1, 1), (2, 1)}
 
 
+def test_reports_reduce_no_coefficient():
+    # the def path reads numerators only; a ratio is made when it is read
+    zs = build_z_series(PRESETS["P2"], 4)
+    fs = zs.log()
+    for d in degree_vectors(3, 4):
+        assert integrality_report(PRESETS["P2"], d, fs).integral
+    assert not zs._ratios and not fs._ratios
+    d = (2, 1, 0)
+    assert fs.get(d) == QRatio(fs.numerators[d], degree_denominator(d) * QLaurent.const(3))
+    assert list(fs._ratios) == [d] and fs.get(d) is fs._ratios[d]
+
+
 def test_strict_coefficient_lookup():
     zs = build_z_series((1, 1), 2)
-    assert zs.coefficient((1, 0)) == zs.get((1, 0))
+    assert QRatio(zs.numerator((1, 0)), degree_denominator((1, 0))) == zs.get((1, 0))
+    assert DegreeSeries(2, 2).numerator((1, 1)).is_zero()  # kept, but zero
     with pytest.raises(KeyError):
-        zs.coefficient((3, 0))  # beyond the truncation
+        zs.numerator((3, 0))  # beyond the truncation
 
 
 def test_degree_vector_order_is_graded_lex():
