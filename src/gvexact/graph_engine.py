@@ -8,6 +8,11 @@ rightmost adjacent pair (a >= 0, b < 0), branch into the swap term and the
 merge term, apply the vanishing/stripping rules, and record the surviving
 forests.  The graph set is *defined* by this algorithm, so fidelity beats
 cleverness.
+
+Every amplitude is a constant times a product of q-numbers [k]^(+-1) over
+merge vertices, leaves, roots and bridges.  It is built as the exponent of
+each [k], collected in one walk, and reduced over the cyclotomic factors of
+the [k] (`qalgebra.qnum_ratio`), so no amplitude takes a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 
 from gvexact.gv import mobius_sum
 from gvexact.partitions import Partition, RSet, union
-from gvexact.qalgebra import QLaurent, QRatio, pole_extract, qnum
+from gvexact.qalgebra import QRatio, pole_extract, qnum_ratio
 
 # A node is a nested tuple:
 #   ("L", index, c, n)                      original operator (a leaf)
@@ -58,13 +63,6 @@ def tree_leaves(root: Node) -> list[Node]:
         return [root]
     l, r = node_children(root)
     return tree_leaves(l) + tree_leaves(r)
-
-
-def tree_merges(root: Node) -> list[Node]:
-    if is_leaf(root):
-        return []
-    l, r = node_children(root)
-    return tree_merges(l) + tree_merges(r) + [root]
 
 
 def zeta(v: Node) -> int:
@@ -162,37 +160,59 @@ def _rec(word: tuple[Node, ...]) -> tuple[VevForest, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _down(counts: dict[int, int], k: int) -> None:
+    if k == 0:
+        raise ZeroDivisionError("q-number [0] in a denominator")
+    counts[k] = counts.get(k, 0) - 1
+
+
+def _tree_factors(root: Node, counts: dict[int, int], leaves: bool) -> int:
+    """Add the q-number exponents of A(T) to `counts`, and of B(T) when
+    `leaves`; return the constant factor.
+
+    Every merge zeta_v goes up except a white root's, whose constant is
+    c_{L(root)}; a black root puts [n_root] down, and B(T) puts each leaf's
+    [|c|] down.  A [0] that would go down raises ZeroDivisionError."""
+    if not is_leaf(root) and root[3]:  # white root
+        const = node_c(root[4])
+        stack = [root[4], root[5]]
+    else:
+        const = 1
+        _down(counts, node_n(root))
+        stack = [root]
+    while stack:
+        v = stack.pop()
+        if is_leaf(v):
+            if leaves:
+                _down(counts, abs(v[2]))
+        else:
+            z = zeta(v)
+            counts[z] = counts.get(z, 0) + 1
+            stack.append(v[4])
+            stack.append(v[5])
+    return const
+
+
 def amplitude_tree(root: Node) -> QRatio:
     """A(T): prod [zeta_v] / [n_root] for a black root, and
     c_{L(root)} * prod over non-root merges [zeta_v] for a white root."""
-    merges = tree_merges(root)
-    if not is_leaf(root) and root[3]:  # white root
-        l, _ = node_children(root)
-        out = QRatio.const(node_c(l))
-        for v in merges:
-            if v is not root:
-                out = out * QRatio(qnum(zeta(v)))
-        return out
-    n_root = node_n(root)
-    num = QLaurent.one()
-    for v in merges:
-        num = num * qnum(zeta(v))
-    return QRatio(num, qnum(n_root))
+    counts: dict[int, int] = {}
+    return qnum_ratio(_tree_factors(root, counts, False), counts)
 
 
 def amplitude_A(forest: VevForest) -> QRatio:
-    out = QRatio.one()
+    """A(F) = prod_T A(T)."""
+    counts: dict[int, int] = {}
+    const = 1
     for t in forest:
-        out = out * amplitude_tree(t)
-    return out
+        const *= _tree_factors(t, counts, False)
+    return qnum_ratio(const, counts)
 
 
 def amplitude_B(root: Node) -> QRatio:
     """B(T) = A(T) / ([mu][nu]) where mu, nu are the leaf partitions of T."""
-    den = QLaurent.one()
-    for lf in tree_leaves(root):
-        den = den * qnum(abs(node_c(lf)))
-    return amplitude_tree(root) / QRatio(den)
+    counts: dict[int, int] = {}
+    return qnum_ratio(_tree_factors(root, counts, True), counts)
 
 
 def vev_graphs(cs: tuple[int, ...], ns: tuple[int, ...]) -> QRatio:
@@ -311,16 +331,21 @@ def scale_forest(w: CombinedForest, k: int) -> CombinedForest:
 
 def amplitude_H(w: CombinedForest) -> QRatio:
     """(-1)^(L1+L2) prod_T B(T) prod_b [h(b)]^2 with L1 = l(mu)+l(nu) and
-    L2 = gamma . degree."""
+    L2 = gamma . degree.
+
+    One walk over the trees collects the constant and the exponent of each
+    q-number; `qnum_ratio` reduces the product over cyclotomic factors, so
+    no polynomial gcd runs."""
     lm, ln, _ = w.l_counts()
     l2 = sum(g * d for g, d in zip(w.gamma, w.rset.degree()))
-    sign = -1 if (lm + ln + l2) % 2 else 1
-    out = QRatio.const(sign)
-    for _, _, t in w.trees():
-        out = out * amplitude_B(t)
+    const = -1 if (lm + ln + l2) % 2 else 1
+    counts: dict[int, int] = {}
+    for f in w.forests:
+        for t in f:
+            const *= _tree_factors(t, counts, True)
     for b in w.bridges:
-        out = out * QRatio(qnum(b.label) * qnum(b.label))
-    return out
+        counts[b.label] = counts.get(b.label, 0) + 2
+    return qnum_ratio(const, counts)
 
 
 def _lambda_leaf_positions(
@@ -437,7 +462,7 @@ def combined_forest_debug_lines(w: CombinedForest) -> list[str]:
 
 def g_k_of_w(w: CombinedForest, k: int) -> QRatio:
     """sum over k'|k of mobius(k/k') k'^(-l(mu)-l(nu)-l(lam)+1)
-    H(W_(k')) with q -> q^(k/k')."""
+    H(W_(k')) with q -> q^(k/k'); k >= 1, else ValueError."""
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
     return mobius_sum(k, lambda kp: amplitude_H(w.scaled(kp)) * Fraction(1, kp**expo))

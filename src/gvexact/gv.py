@@ -51,12 +51,13 @@ def mobius(n: int) -> int:
 
 
 def divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    if n < 1:
+        raise ValueError("divisors needs n >= 1")
+    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 def mobius_sum(k: int, term) -> QRatio:
-    """sum over k'|k of mobius(k/k') term(k') with q -> q^(k/k')."""
+    """sum over k'|k of mobius(k/k') term(k') with q -> q^(k/k'); k >= 1."""
     out = QRatio.zero()
     for kp in divisors(k):
         mu = mobius(k // kp)

@@ -254,6 +254,64 @@ def qnum(k: int) -> QLaurent:
     return QLaurent({k: 1, -k: -1})
 
 
+@lru_cache(maxsize=None)
+def cyclotomic(n: int) -> QLaurent:
+    """The n-th cyclotomic polynomial Phi_n(x): x^n - 1 divided exactly by
+    Phi_j for every proper divisor j of n."""
+    if n < 1:
+        raise ValueError("cyclotomic needs n >= 1")
+    out = QLaurent({n: 1, 0: -1})
+    for j in range(1, n):
+        if n % j == 0:
+            out = out.divide_exact(cyclotomic(j))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_indices(k: int) -> tuple[int, ...]:
+    """The divisors j of 2k: [k] = x^-k prod_j Phi_j(x)."""
+    return tuple(j for j in range(1, 2 * k + 1) if (2 * k) % j == 0)
+
+
+def qnum_ratio(const, counts: dict[int, int]) -> "QRatio":
+    """const * prod_k [k]^counts[k] as a canonical QRatio, with no gcd.
+
+    [k] = x^-k prod_{j | 2k} Phi_j(x) and [-k] = -[k].  The Phi_j are monic,
+    primitive and pairwise coprime, so adding up the exponent of each Phi_j
+    reduces the product exactly: positive exponents form the numerator,
+    negative ones the denominator.  [0] with a positive exponent gives 0;
+    with a negative one it is a ZeroDivisionError."""
+    c = Fraction(const)
+    zero = not c
+    phis: dict[int, int] = {}
+    shift = 0
+    for k, e in counts.items():
+        if not e:
+            continue
+        if k == 0:
+            if e < 0:
+                raise ZeroDivisionError("q-number [0] in a denominator")
+            zero = True
+            continue
+        if k < 0:
+            k = -k
+            if e % 2:
+                c = -c
+        shift -= k * e
+        for j in _cyclotomic_indices(k):
+            phis[j] = phis.get(j, 0) + e
+    if zero:
+        return QRatio.zero()
+    num = QLaurent.monomial(shift, c.numerator)
+    den = QLaurent.const(c.denominator)
+    for j, e in phis.items():
+        for _ in range(e):
+            num = num * cyclotomic(j)
+        for _ in range(-e):
+            den = den * cyclotomic(j)
+    return QRatio._coprime(num, den)
+
+
 def qnum_product(p: Partition) -> QLaurent:
     """[p] = prod over parts [p_i]; empty product is 1."""
     out = QLaurent.one()
@@ -453,7 +511,10 @@ class QRatio:
         """q -> q^m, a ring homomorphism; m >= 1."""
         if m < 1:
             raise ValueError("substitution power must be >= 1")
-        return QRatio(self.num.substitute_power(m), self.den.substitute_power(m))
+        # q -> q^m maps a Bezout identity u*num + v*den = 1 to another one and
+        # keeps every coefficient, den's lowest exponent 0 and its lead sign,
+        # so the image of a reduced ratio is reduced.
+        return QRatio._coprime(self.num.substitute_power(m), self.den.substitute_power(m))
 
     def __repr__(self) -> str:
         return f"QRatio({format_qratio(self)})"
@@ -577,17 +638,24 @@ class RPoly:
 
 
 @lru_cache(maxsize=None)
-def t_k_in_t(k: int) -> RPoly:
-    """t_k = [k]^2 as an integer polynomial in t:
-    sum_{j=1..k} (k/j) C(j+k-1, 2j-1) t^j."""
+def _t_k_coeffs(k: int) -> tuple[int, ...]:
+    """Integer coefficients of t_k = [k]^2 in t:
+    sum_{j=1..k} k C(j+k-1, 2j-1) / j t^j, each division exact."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    coeffs = [Fraction(0)] * (k + 1)
+    coeffs = [0] * (k + 1)
     for j in range(1, k + 1):
-        coeffs[j] = Fraction(k, j) * math.comb(j + k - 1, 2 * j - 1)
-    p = RPoly(coeffs)
-    assert p.is_integral()
-    return p
+        c, r = divmod(k * math.comb(j + k - 1, 2 * j - 1), j)
+        if r:
+            raise ValueError(f"t_{k} has a non-integer coefficient at t^{j}")
+        coeffs[j] = c
+    return tuple(coeffs)
+
+
+@lru_cache(maxsize=None)
+def t_k_in_t(k: int) -> RPoly:
+    """t_k = [k]^2 as an integer polynomial in t."""
+    return RPoly(_t_k_coeffs(k))
 
 
 def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
@@ -610,8 +678,8 @@ def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
             out[0] += c
         elif e > 0:
             out[0] += 2 * c
-            for j, a in enumerate(t_k_in_t(e // step).coeffs):
-                out[j] += a.numerator * c
+            for j, a in enumerate(_t_k_coeffs(e // step)):
+                out[j] += a * c
     den = f.den.coeffs[0]
     return RPoly([Fraction(c, den) for c in out])
 

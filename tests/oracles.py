@@ -5,6 +5,10 @@ the skew-Schur character sum and the vertex weight as sums of reduced
 QRatios, and the Mobius inversion G_d with its t-integrality verdict as a
 QRatio sum over a coefficient lookup.  Each addition reduces by a polynomial
 gcd, so they are slow but independent of the numerator bookkeeping.
+
+The graph amplitudes A(T), A(F), B(T) and H(W) are kept the same way: as
+chains of QRatio products and quotients, each reduced by a gcd, against the
+engine's cyclotomic exponent vectors.
 """
 
 from __future__ import annotations
@@ -13,12 +17,21 @@ import math
 from fractions import Fraction
 
 from gvexact.characters import mn_character
+from gvexact.graph_engine import (
+    is_leaf,
+    node_c,
+    node_children,
+    node_n,
+    tree_leaves,
+    zeta,
+)
 from gvexact.gv import GvReport, divisors, mobius
 from gvexact.partitions import enumerate_partitions, kappa, union, weight, z_factor
 from gvexact.qalgebra import (
     NotSymmetricInT,
     QLaurent,
     QRatio,
+    qnum,
     qnum_product,
     t_k_qratio,
     to_t_poly,
@@ -89,3 +102,57 @@ def integrality_report_oracle(gamma, d, f_lookup) -> GvReport:
                 gv_numbers.append((gi, int(c) * (-1 if gi % 2 == 0 else 1)))
     notes = "" if integral else "t*G has a non-integer coefficient"
     return GvReport(gamma, d, poly, integral, gv_numbers, notes)
+
+
+def tree_merges(root) -> list:
+    if is_leaf(root):
+        return []
+    l, r = node_children(root)
+    return tree_merges(l) + tree_merges(r) + [root]
+
+
+def amplitude_tree_oracle(root) -> QRatio:
+    """A(T): prod [zeta_v] / [n_root] for a black root, and
+    c_{L(root)} * prod over non-root merges [zeta_v] for a white root."""
+    merges = tree_merges(root)
+    if not is_leaf(root) and root[3]:  # white root
+        l, _ = node_children(root)
+        out = QRatio.const(node_c(l))
+        for v in merges:
+            if v is not root:
+                out = out * QRatio(qnum(zeta(v)))
+        return out
+    n_root = node_n(root)
+    num = QLaurent.one()
+    for v in merges:
+        num = num * qnum(zeta(v))
+    return QRatio(num, qnum(n_root))
+
+
+def amplitude_A_oracle(forest) -> QRatio:
+    out = QRatio.one()
+    for t in forest:
+        out = out * amplitude_tree_oracle(t)
+    return out
+
+
+def amplitude_B_oracle(root) -> QRatio:
+    """B(T) = A(T) / ([mu][nu]) where mu, nu are the leaf partitions of T."""
+    den = QLaurent.one()
+    for lf in tree_leaves(root):
+        den = den * qnum(abs(node_c(lf)))
+    return amplitude_tree_oracle(root) / QRatio(den)
+
+
+def amplitude_H_oracle(w) -> QRatio:
+    """(-1)^(L1+L2) prod_T B(T) prod_b [h(b)]^2 with L1 = l(mu)+l(nu) and
+    L2 = gamma . degree."""
+    lm, ln, _ = w.l_counts()
+    l2 = sum(g * d for g, d in zip(w.gamma, w.rset.degree()))
+    sign = -1 if (lm + ln + l2) % 2 else 1
+    out = QRatio.const(sign)
+    for _, _, t in w.trees():
+        out = out * amplitude_B_oracle(t)
+    for b in w.bridges:
+        out = out * QRatio(qnum(b.label) * qnum(b.label))
+    return out

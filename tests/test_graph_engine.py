@@ -178,6 +178,13 @@ def test_g_k_pole_structure():
     assert g_k_of_w(w, 1) == amplitude_H(w)
 
 
+def test_g_k_needs_positive_k():
+    w = figure2_beta0()
+    for k in (0, -2):
+        with pytest.raises(ValueError):
+            g_k_of_w(w, k)
+
+
 def test_tree_pole_data_examples():
     # single 2-leaf tree over mu = nu = (d) with word parameter a
     def the_tree(d, a):

@@ -9,6 +9,7 @@ from gvexact.gv import (
     divisors,
     integrality_report,
     mobius,
+    mobius_sum,
 )
 from gvexact.qalgebra import QLaurent, QRatio, RPoly, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
@@ -31,6 +32,17 @@ def test_mobius_values():
 def test_divisor_sums():
     for k in range(1, 25):
         assert sum(mobius(k // kp) for kp in divisors(k)) == (1 if k == 1 else 0)
+
+
+def test_no_divisors_below_one():
+    def term(kp):
+        raise AssertionError("term called")
+
+    for k in (0, -2):
+        with pytest.raises(ValueError):
+            divisors(k)
+        with pytest.raises(ValueError):
+            mobius_sum(k, term)
 
 
 def _p2_free_energy(max_total=4):

@@ -20,6 +20,7 @@ from gvexact.qalgebra import (
     qlaurent_gcd,
     qnum,
     qnum_product,
+    qnum_ratio,
     t_k_in_t,
     t_k_qratio,
     to_t_poly,
@@ -320,6 +321,48 @@ def test_t_and_y_images_match_fraction_evaluation(pairs, c0, den, even):
         assert poly_value(to_y_poly(f), x0 + 1 / x0 - 2) == expect
         if even:
             assert poly_value(to_t_poly(f), (x0 - 1 / x0) ** 2) == expect
+
+
+@PROPERTY
+@given(ratios, st.integers(1, 4))
+def test_substitute_power_equals_full_gcd_construction(a, m):
+    sub = a.substitute_power(m)
+    full = QRatio(a.num.substitute_power(m), a.den.substitute_power(m))
+    assert sub.num == full.num and sub.den == full.den
+
+
+@PROPERTY
+@given(
+    st.fractions(max_denominator=12),
+    st.dictionaries(st.integers(-9, 9).filter(bool), st.integers(-3, 3), max_size=5),
+)
+def test_qnum_ratio_equals_reduced_ratio_products(c, counts):
+    expect = QRatio.const(c)
+    for k, e in counts.items():
+        for _ in range(abs(e)):
+            expect = expect * q(k) if e > 0 else expect / q(k)
+    got = qnum_ratio(c, counts)
+    assert got.num == expect.num and got.den == expect.den
+    assert_normalized(got)
+
+
+def test_qnum_ratio_zero_branches():
+    assert qnum_ratio(3, {0: 1, 2: -1}).is_zero()
+    assert qnum_ratio(0, {2: -1}).is_zero()
+    assert qnum_ratio(5, {0: 0, 1: 0}) == QRatio.const(5)
+    with pytest.raises(ZeroDivisionError):
+        qnum_ratio(1, {0: -1, 2: 1})
+    with pytest.raises(ZeroDivisionError):
+        QRatio(QLaurent.one(), qnum(0))
+
+
+def test_t_k_table_is_integer():
+    for k in range(1, 21):
+        coeffs = t_k_in_t(k).coeffs
+        assert all(c.denominator == 1 for c in coeffs)
+        assert coeffs[1] == k * k and coeffs[k] == 1
+    with pytest.raises(ValueError):
+        t_k_in_t(0)
 
 
 def test_q_factorials_and_binomials():
