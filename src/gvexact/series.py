@@ -8,7 +8,9 @@ coefficient with total degree up to its cap, sparse across vectors.
 Z, log Z and the matrix path run on integer Laurent numerators over the fixed
 denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd.  A
 series keeps only the numerators and reduces a coefficient to a QRatio the
-first time it is read.
+first time it is read.  The matrix path is the trace of a cyclic product of
+transfer matrices over the intermediate Fock states, one matrix per slot,
+whose entries are memoized per slot and shared across degrees and gammas.
 """
 
 from __future__ import annotations
@@ -16,13 +18,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from gvexact.graph_engine import amplitude_H, enumerate_combined_forests
 from gvexact.partitions import (
+    Partition,
     enumerate_partitions,
     enumerate_rsets,
     kappa,
     union,
+    weight,
     z_factor,
 )
 from gvexact.qalgebra import (
@@ -87,39 +92,98 @@ def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 
 
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
-    """The same coefficient through r-sets and bosonic matrix elements.
+    """The same coefficient as the cyclic trace tr(T_1 ... T_r) of the
+    `transfer_matrix` of each slot, summed over the intermediate Fock states
+    lambda^i of the vertex-operator product.
 
-    An r-set term carries 1 / (prod_i [mu^i] [nu^i] z(mu^i) z(nu^i)
-    z(lambda^i)); with |mu^i|, |nu^i| <= d_i and |mu^i| + |lambda^i| = d_i
-    that divides D_d prod_i d_i!^2, so the r-set sum is one integer sum over
-    that common denominator."""
+    Slot i carries d_i!^2 times its 1 / ([mu^i] [nu^i] z(mu^i) z(nu^i)
+    z(lambda^i)), so the trace is one integer sum over the common
+    denominator D_d prod_i d_i!^2."""
     _check_degree(gamma, d)
     r = len(gamma)
-    scale = math.prod(math.factorial(di) ** 2 for di in d)
+    caps = [min(d[i - 1], d[i]) for i in range(r)]  # |lambda^i| <= caps[i]
+    mats = [transfer_matrix(d[i], gamma[i] + 2, caps[i], caps[(i + 1) % r])
+            for i in range(r)]
+    rows = mats[0]
+    for mat in mats[1:]:
+        rows = _times(rows, mat)
     total = QLaurent.zero()
-    for rs in enumerate_rsets(r, d):
-        term = QLaurent.one()
-        for i in range(r):
-            bra = union(rs.lam[i], rs.mu[i])
-            ket = union(rs.nu[i], rs.lam[(i + 1) % r])
-            if bra or ket:
-                term = term * matrix_element_char(bra, gamma[i] + 2, ket)
-            if term.is_zero():
-                break
-        if term.is_zero():
-            continue
-        cofactor = QLaurent.one()
-        zden = 1
-        for i in range(r):
-            cofactor = (cofactor * qfactorial_over(d[i], rs.mu[i])
-                        * qfactorial_over(d[i], rs.nu[i]))
-            zden *= z_factor(rs.mu[i]) * z_factor(rs.nu[i]) * z_factor(rs.lam[i])
-        lsign = sum(len(p) for p in rs.mu) + sum(len(p) for p in rs.nu)
-        coeff = -(scale // zden) if lsign % 2 else scale // zden
-        total = total + term * cofactor * QLaurent.const(coeff)
+    for lam, row in rows.items():
+        if lam in row:
+            total = total + row[lam]
     if sum(g * di for g, di in zip(gamma, d)) % 2:
         total = -total
+    scale = math.prod(math.factorial(di) ** 2 for di in d)
     return QRatio(total, degree_denominator(d) * QLaurent.const(scale))
+
+
+@lru_cache(maxsize=None)
+def _states(cap: int) -> tuple[Partition, ...]:
+    """Every partition of weight at most cap."""
+    return tuple(p for n in range(cap + 1) for p in enumerate_partitions(n))
+
+
+def transfer_matrix(di: int, a: int, lo: int, hi: int) -> dict:
+    """T[lambda][lambda'] for one slot of degree di and framing
+    q^(a F2), a = gamma_i + 2: rows |lambda| <= lo, columns |lambda'| <= hi,
+    zero entries left out.  See `transfer_entry`."""
+    out = {}
+    for lam in _states(lo):
+        row = {}
+        for lamp in _states(hi):
+            entry = transfer_entry(di, a, lam, lamp)
+            if entry:
+                row[lamp] = entry
+        if row:
+            out[lam] = row
+    return out
+
+
+@lru_cache(maxsize=None)
+def transfer_entry(di: int, a: int, lam: Partition, lamp: Partition) -> QLaurent:
+    """sum over mu |- di - |lam|, nu |- di - |lamp| of
+    (-1)^(l(mu)+l(nu)) di!^2 / (z(lam) z(mu) z(nu)) [di]!/[mu] [di]!/[nu]
+    <lam u mu| q^(a F2) |nu u lamp>.
+
+    The weight is an integer: z(lam) z(mu) divides z(lam u mu), which divides
+    di!, and z(nu) divides |nu|!, which divides di!.  It depends on the slot
+    alone, so it is shared across degrees and gammas."""
+    fact = math.factorial(di)
+    total = QLaurent.zero()
+    for mu in enumerate_partitions(di - weight(lam)):
+        bra = union(lam, mu)
+        for nu in enumerate_partitions(di - weight(lamp)):
+            elem = matrix_element_char(bra, a, union(nu, lamp))
+            if elem:
+                c = (_exact_quotient(fact, z_factor(lam) * z_factor(mu))
+                     * _exact_quotient(fact, z_factor(nu)))
+                if (len(mu) + len(nu)) % 2:
+                    c = -c
+                total = total + (elem * qfactorial_over(di, mu) * qfactorial_over(di, nu)
+                                 * QLaurent.const(c))
+    return total
+
+
+def _exact_quotient(n: int, m: int) -> int:
+    q, rem = divmod(n, m)
+    if rem:
+        raise ArithmeticError(f"{m} does not divide {n}")
+    return q
+
+
+def _times(rows: dict, mat: dict) -> dict:
+    """The sparse product of two transfer-matrix chains."""
+    out = {}
+    for lam, row in rows.items():
+        acc = {}
+        for mid, x in row.items():
+            for lamp, y in mat.get(mid, {}).items():
+                xy = x * y
+                acc[lamp] = acc[lamp] + xy if lamp in acc else xy
+        acc = {lamp: v for lamp, v in acc.items() if v}
+        if acc:
+            out[lam] = acc
+    return out
 
 
 def z_coefficient_graphs(
@@ -218,13 +282,14 @@ class DegreeSeries:
         return self.numerators.get(d, QLaurent.zero())
 
     def get(self, d: tuple[int, ...]) -> QRatio:
-        """c_d as a canonical QRatio, reduced on first read."""
+        """c_d as a canonical QRatio, reduced on first read; like `numerator`,
+        a degree outside the computed range is a KeyError."""
         if not any(d):
             return self.constant
         out = self._ratios.get(d)
         if out is None:
-            num = self.numerators.get(d)
-            if num is None:
+            num = self.numerator(d)
+            if num.is_zero():
                 return QRatio.zero()
             out = self._ratios[d] = QRatio(num, self._denominator(d))
         return out

@@ -9,6 +9,10 @@ gcd, so they are slow but independent of the numerator bookkeeping.
 The graph amplitudes A(T), A(F), B(T) and H(W) are kept the same way: as
 chains of QRatio products and quotients, each reduced by a gcd, against the
 engine's cyclotomic exponent vectors.
+
+The matrix-element path's r-set sum is kept as the oracle for its transfer-
+matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
+r-fold product of bosonic matrix elements.
 """
 
 from __future__ import annotations
@@ -26,16 +30,26 @@ from gvexact.graph_engine import (
     zeta,
 )
 from gvexact.gv import GvReport, divisors, mobius
-from gvexact.partitions import enumerate_partitions, kappa, union, weight, z_factor
+from gvexact.partitions import (
+    enumerate_partitions,
+    enumerate_rsets,
+    kappa,
+    union,
+    weight,
+    z_factor,
+)
 from gvexact.qalgebra import (
     NotSymmetricInT,
     QLaurent,
     QRatio,
+    degree_denominator,
+    qfactorial_over,
     qnum,
     qnum_product,
     t_k_qratio,
     to_t_poly,
 )
+from gvexact.schur_vertex import matrix_element_char
 
 
 def skew_schur_oracle(mu, eta) -> QRatio:
@@ -156,3 +170,38 @@ def amplitude_H_oracle(w) -> QRatio:
     for b in w.bridges:
         out = out * QRatio(qnum(b.label) * qnum(b.label))
     return out
+
+
+def z_coefficient_matrix_rsets(gamma, d) -> QRatio:
+    """Z_d through r-sets and bosonic matrix elements.
+
+    An r-set term carries 1 / (prod_i [mu^i] [nu^i] z(mu^i) z(nu^i)
+    z(lambda^i)); with |mu^i|, |nu^i| <= d_i and |mu^i| + |lambda^i| = d_i
+    that divides D_d prod_i d_i!^2, so the r-set sum is one integer sum over
+    that common denominator."""
+    r = len(gamma)
+    scale = math.prod(math.factorial(di) ** 2 for di in d)
+    total = QLaurent.zero()
+    for rs in enumerate_rsets(r, d):
+        term = QLaurent.one()
+        for i in range(r):
+            bra = union(rs.lam[i], rs.mu[i])
+            ket = union(rs.nu[i], rs.lam[(i + 1) % r])
+            if bra or ket:
+                term = term * matrix_element_char(bra, gamma[i] + 2, ket)
+            if term.is_zero():
+                break
+        if term.is_zero():
+            continue
+        cofactor = QLaurent.one()
+        zden = 1
+        for i in range(r):
+            cofactor = (cofactor * qfactorial_over(d[i], rs.mu[i])
+                        * qfactorial_over(d[i], rs.nu[i]))
+            zden *= z_factor(rs.mu[i]) * z_factor(rs.nu[i]) * z_factor(rs.lam[i])
+        lsign = sum(len(p) for p in rs.mu) + sum(len(p) for p in rs.nu)
+        coeff = -(scale // zden) if lsign % 2 else scale // zden
+        total = total + term * cofactor * QLaurent.const(coeff)
+    if sum(g * di for g, di in zip(gamma, d)) % 2:
+        total = -total
+    return QRatio(total, degree_denominator(d) * QLaurent.const(scale))

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gvexact import cli
 from gvexact.cli import (
     RunConfig,
     compute_reports,
@@ -83,6 +84,26 @@ def test_paths_verified(capsys):
         obj = json.loads(line)
         if not obj.get("summary"):
             assert obj["paths_agree"] is True
+
+
+def test_disagreeing_path_fails_the_run(monkeypatch, capsys):
+    real = cli.z_coefficient_matrix
+
+    def off_by_one(gamma, d):
+        value = real(gamma, d)
+        return value + 1 if d == (1, 1) else value
+
+    monkeypatch.setattr(cli, "z_coefficient_matrix", off_by_one)
+    code, out = run_cli(capsys, "compute", "--gamma", "1,1", "--max-degree", "2",
+                        "--paths", "def,matrix")
+    assert code == 1
+    lines = [json.loads(l) for l in out.strip().splitlines()]
+    agree = {tuple(l["degree"]): l["paths_agree"] for l in lines[:-1]}
+    assert agree == {(1, 0): True, (0, 1): True, (2, 0): True, (1, 1): False, (0, 2): True}
+    assert all(l["integral"] for l in lines[:-1])
+    assert out.strip().splitlines()[-1] == (
+        '{"all_integral":true,"all_paths_agree":false,"ok":false,"reports":5,"summary":true}'
+    )
 
 
 def test_config_file(tmp_path, capsys):

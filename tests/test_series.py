@@ -198,6 +198,20 @@ def test_strict_coefficient_lookup():
         zs.numerator((3, 0))  # beyond the truncation
 
 
+def test_strict_ratio_lookup():
+    zs = build_z_series(PRESETS["P2"], 3, degrees=[(2, 1, 0)])
+    assert zs.get((1, 1, 0)) == z_coefficient_def(PRESETS["P2"], (1, 1, 0))
+    z = DegreeSeries(2, 2)
+    assert z.get((1, 1)).is_zero() and z.get((0, 0)).is_zero()  # kept, but zero
+    fs = zs.log()
+    for d in [(2, 2, 0),  # beyond the cap
+              (0, 0, 1)]:  # inside the cap, outside the support
+        with pytest.raises(KeyError):
+            zs.get(d)
+        with pytest.raises(KeyError):
+            fs.get(d)
+
+
 def test_degree_vector_order_is_graded_lex():
     got = list(degree_vectors(2, 2))
     assert got == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
