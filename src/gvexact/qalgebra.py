@@ -273,16 +273,21 @@ def _cyclotomic_indices(k: int) -> tuple[int, ...]:
     return tuple(j for j in range(1, 2 * k + 1) if (2 * k) % j == 0)
 
 
-def qnum_ratio(const, counts: dict[int, int]) -> "QRatio":
-    """const * prod_k [k]^counts[k] as a canonical QRatio, with no gcd.
+def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "QRatio":
+    """const * num * prod_k [k]^counts[k] as a canonical QRatio, with no gcd;
+    num is an integer Laurent polynomial, 1 when left out.
 
     [k] = x^-k prod_{j | 2k} Phi_j(x) and [-k] = -[k].  The Phi_j are monic,
-    primitive and pairwise coprime, so adding up the exponent of each Phi_j
-    reduces the product exactly: positive exponents form the numerator,
-    negative ones the denominator.  [0] with a positive exponent gives 0;
-    with a negative one it is a ZeroDivisionError."""
+    primitive, irreducible over Q and pairwise coprime, so the product is
+    reduced over its cyclotomic factors alone: the exponents of each Phi_j
+    are added up, positive ones go to the numerator, and each Phi_j left in
+    the denominator is divided out of num as long as it divides num
+    (`_phi_divides`).  What remains of num then shares no factor with the
+    denominator.  With num left out, as for the graph amplitudes, nothing is
+    trial-divided.  [0] with a positive exponent gives 0; with a negative
+    one it is a ZeroDivisionError."""
     c = Fraction(const)
-    zero = not c
+    zero = not c or (num is not None and num.is_zero())
     phis: dict[int, int] = {}
     shift = 0
     for k, e in counts.items():
@@ -302,14 +307,65 @@ def qnum_ratio(const, counts: dict[int, int]) -> "QRatio":
             phis[j] = phis.get(j, 0) + e
     if zero:
         return QRatio.zero()
-    num = QLaurent.monomial(shift, c.numerator)
-    den = QLaurent.const(c.denominator)
-    for j, e in phis.items():
+    if num is None:
+        num = QLaurent.monomial(shift, c.numerator)
+    else:
+        lo = num.min_exp()
+        a = [0] * (num.max_exp() - lo + 1)
+        for e, v in num.coeffs.items():
+            a[e - lo] = v * c.numerator
+        lo += shift
+        for j in sorted(phis):
+            while phis[j] < 0 and _phi_divides(a, j):
+                a = _phi_divmod(a, j)[0]
+                phis[j] += 1
+        num = _laurent({lo + i: v for i, v in enumerate(a) if v})
+    up = tuple((j, e) for j, e in sorted(phis.items()) if e > 0)
+    down = tuple((j, -e) for j, e in sorted(phis.items()) if e < 0)
+    if up:
+        num = num * _phi_power(up)
+    return QRatio._coprime(num, _phi_power(down) * QLaurent.const(c.denominator))
+
+
+@lru_cache(maxsize=None)
+def _phi_power(factors: tuple[tuple[int, int], ...]) -> QLaurent:
+    """prod Phi_j^e over the (j, e) pairs."""
+    out = QLaurent.one()
+    for j, e in factors:
         for _ in range(e):
-            num = num * cyclotomic(j)
-        for _ in range(-e):
-            den = den * cyclotomic(j)
-    return QRatio._coprime(num, den)
+            out = out * cyclotomic(j)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _phi_low(j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """deg Phi_j and the terms of Phi_j below its leading term 1."""
+    p = cyclotomic(j).coeffs
+    n = max(p)
+    return n, tuple((e, v) for e, v in p.items() if e < n)
+
+
+def _phi_divmod(a: list[int], j: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of the dense polynomial sum_i a[i] x^i by
+    the monic Phi_j, by synthetic division."""
+    a = list(a)
+    n, low = _phi_low(j)
+    for top in range(len(a) - 1, n - 1, -1):
+        f = a[top]
+        if f:
+            for e, v in low:
+                a[top - n + e] -= f * v
+    return a[n:], a[:n]
+
+
+def _phi_divides(a: list[int], j: int) -> bool:
+    """Whether Phi_j divides the polynomial sum_i a[i] x^i, or any of its
+    shifts by a power of x, which is a unit modulo Phi_j.  Phi_j divides
+    x^j - 1, so the polynomial is first folded modulo x^j - 1
+    (x^i -> x^(i mod j)) to j coefficients; for j = 1, 2 the test is then
+    p(1) = 0 and p(-1) = 0."""
+    fold = [sum(a[i::j]) for i in range(j)]
+    return not any(_phi_divmod(fold, j)[1])
 
 
 def qnum_product(p: Partition) -> QLaurent:
@@ -336,6 +392,15 @@ def qbinomial(n: int, k: int) -> QLaurent:
 def qfactorial_over(n: int, p: Partition) -> QLaurent:
     """[n]! / [p] for |p| <= n, an integer Laurent polynomial."""
     return qfactorial(n).divide_exact(qnum_product(p))
+
+
+def degree_counts(d: tuple[int, ...]) -> dict[int, int]:
+    """The q-number exponents of 1 / D_d: [k]^-2 for every d_i >= k."""
+    out: dict[int, int] = {}
+    for di in d:
+        for k in range(1, di + 1):
+            out[k] = out.get(k, 0) - 2
+    return out
 
 
 @lru_cache(maxsize=None)

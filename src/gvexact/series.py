@@ -8,9 +8,12 @@ coefficient with total degree up to its cap, sparse across vectors.
 Z, log Z and the matrix path run on integer Laurent numerators over the fixed
 denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd.  A
 series keeps only the numerators and reduces a coefficient to a QRatio the
-first time it is read.  The matrix path is the trace of a cyclic product of
-transfer matrices over the intermediate Fock states, one matrix per slot,
-whose entries are memoized per slot and shared across degrees and gammas.
+first time it is read.  D_d is a product of cyclotomic polynomials Phi_j, so
+a coefficient is reduced over the cyclotomic factors of its denominator
+(`qalgebra.qnum_ratio`), again with no polynomial gcd.  The matrix path is
+the trace of a cyclic product of transfer matrices over the intermediate
+Fock states, one matrix per slot, whose entries are memoized per slot and
+shared across degrees and gammas.
 """
 
 from __future__ import annotations
@@ -33,9 +36,11 @@ from gvexact.partitions import (
 from gvexact.qalgebra import (
     QLaurent,
     QRatio,
+    degree_counts,
     degree_denominator,
     qbinomial,
     qfactorial_over,
+    qnum_ratio,
 )
 from gvexact.schur_vertex import matrix_element_char, w_numerator
 
@@ -88,7 +93,7 @@ def z_numerator(gamma: tuple[int, ...], d: tuple[int, ...]) -> QLaurent:
 
 def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     """The partition-function coefficient Z_d by the definitional path."""
-    return QRatio(z_numerator(gamma, d), degree_denominator(d))
+    return qnum_ratio(1, degree_counts(d), z_numerator(gamma, d))
 
 
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
@@ -98,7 +103,8 @@ def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 
     Slot i carries d_i!^2 times its 1 / ([mu^i] [nu^i] z(mu^i) z(nu^i)
     z(lambda^i)), so the trace is one integer sum over the common
-    denominator D_d prod_i d_i!^2."""
+    denominator D_d prod_i d_i!^2, reduced over the cyclotomic factors of
+    D_d."""
     _check_degree(gamma, d)
     r = len(gamma)
     caps = [min(d[i - 1], d[i]) for i in range(r)]  # |lambda^i| <= caps[i]
@@ -114,7 +120,7 @@ def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     if sum(g * di for g, di in zip(gamma, d)) % 2:
         total = -total
     scale = math.prod(math.factorial(di) ** 2 for di in d)
-    return QRatio(total, degree_denominator(d) * QLaurent.const(scale))
+    return qnum_ratio(Fraction(1, scale), degree_counts(d), total)
 
 
 @lru_cache(maxsize=None)
@@ -226,7 +232,7 @@ class DegreeSeries:
     partition function keeps ZN_d = Z_d D_d; its log, the free energy, is
     weighted and keeps FN_d = |d| F_d D_d.  `get` (and `coefficients`)
     reduces a coefficient to a canonical QRatio the first time it is read
-    and caches it, so a run that reads only numerators takes no gcd.
+    and caches it; a run that reads only numerators reduces none.
 
     An optional support set restricts the kept degree vectors further; it
     must be downward closed under the componentwise order, because the log
@@ -248,9 +254,9 @@ class DegreeSeries:
             return False
         return self.support is None or d in self.support
 
-    def _denominator(self, d: tuple[int, ...]) -> QLaurent:
-        den = degree_denominator(d)
-        return den * QLaurent.const(sum(d)) if self.weighted else den
+    def _weight(self, d: tuple[int, ...]) -> int:
+        """c_d = numerators[d] / (weight * D_d)."""
+        return sum(d) if self.weighted else 1
 
     def set(self, d: tuple[int, ...], v: QRatio) -> None:
         """Store c_d = v; raises ValueError unless v times the denominator
@@ -259,7 +265,8 @@ class DegreeSeries:
             self.constant = v
         elif self._keeps(d):
             try:
-                num = (v.num * self._denominator(d)).divide_exact(v.den)
+                den = degree_denominator(d) * QLaurent.const(self._weight(d))
+                num = (v.num * den).divide_exact(v.den)
             except ValueError:
                 raise ValueError(
                     f"coefficient at {d} times D_d is not an integer Laurent polynomial"
@@ -282,8 +289,10 @@ class DegreeSeries:
         return self.numerators.get(d, QLaurent.zero())
 
     def get(self, d: tuple[int, ...]) -> QRatio:
-        """c_d as a canonical QRatio, reduced on first read; like `numerator`,
-        a degree outside the computed range is a KeyError."""
+        """c_d as a canonical QRatio, reduced on first read over the
+        cyclotomic factors of its denominator D_d (times |d| when weighted)
+        by `qnum_ratio`, with no polynomial gcd; like `numerator`, a degree
+        outside the computed range is a KeyError."""
         if not any(d):
             return self.constant
         out = self._ratios.get(d)
@@ -291,7 +300,8 @@ class DegreeSeries:
             num = self.numerator(d)
             if num.is_zero():
                 return QRatio.zero()
-            out = self._ratios[d] = QRatio(num, self._denominator(d))
+            out = self._ratios[d] = qnum_ratio(Fraction(1, self._weight(d)),
+                                               degree_counts(d), num)
         return out
 
     @property
@@ -317,7 +327,8 @@ class DegreeSeries:
         for d in degree_vectors(self.r, self.max_total):
             if not self._keeps(d):
                 continue
-            acc = self.numerators.get(d, QLaurent.zero()) * QLaurent.const(sum(d))
+            n = sum(d)
+            acc = {e: v * n for e, v in self.numerators.get(d, QLaurent.zero()).coeffs.items()}
             # the box below d; neither 0 nor d itself is in fn
             for e in itertools.product(*(range(x + 1) for x in d)):
                 fe = fn.get(e)
@@ -325,10 +336,23 @@ class DegreeSeries:
                     continue
                 rest = self.numerators.get(tuple(a - b for a, b in zip(d, e)))
                 if rest is not None:
-                    acc = acc - fe * rest * _cofactor(d, e)
-            if not acc.is_zero():
-                fn[d] = acc
+                    _subtract_product(acc, fe * rest, _cofactor(d, e))
+            fd = QLaurent(acc)
+            if fd:
+                fn[d] = fd
         return out
+
+
+def _subtract_product(acc: dict[int, int], a: QLaurent, b: QLaurent) -> None:
+    """acc -= a * b, in place on a dict of exponents to coefficients that
+    may hold zeros."""
+    a, b = a.coeffs, b.coeffs
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, v1 in a.items():
+        for e2, v2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) - v1 * v2
 
 
 def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:
@@ -336,9 +360,14 @@ def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:
     out = QLaurent.one()
     for di, ei in zip(d, e):
         if 0 < ei < di:
-            b = qbinomial(di, ei)
-            out = out * b * b
+            out = out * _qbinomial_squared(di, ei)
     return out
+
+
+@lru_cache(maxsize=None)
+def _qbinomial_squared(n: int, k: int) -> QLaurent:
+    b = qbinomial(n, k)
+    return b * b
 
 
 def downward_closure(degrees) -> frozenset:
