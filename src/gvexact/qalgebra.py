@@ -310,16 +310,11 @@ def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "Q
     if num is None:
         num = QLaurent.monomial(shift, c.numerator)
     else:
-        lo = num.min_exp()
-        a = [0] * (num.max_exp() - lo + 1)
-        for e, v in num.coeffs.items():
-            a[e - lo] = v * c.numerator
-        lo += shift
         for j in sorted(phis):
-            while phis[j] < 0 and _phi_divides(a, j):
-                a = _phi_divmod(a, j)[0]
+            while phis[j] < 0 and _phi_divides(num, j):
+                num = num.divide_exact(cyclotomic(j))
                 phis[j] += 1
-        num = _laurent({lo + i: v for i, v in enumerate(a) if v})
+        num = _laurent({e + shift: v * c.numerator for e, v in num.coeffs.items()})
     up = tuple((j, e) for j, e in sorted(phis.items()) if e > 0)
     down = tuple((j, -e) for j, e in sorted(phis.items()) if e < 0)
     if up:
@@ -329,7 +324,9 @@ def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "Q
 
 @lru_cache(maxsize=None)
 def _phi_power(factors: tuple[tuple[int, int], ...]) -> QLaurent:
-    """prod Phi_j^e over the (j, e) pairs."""
+    """prod Phi_j^e over the (j, e) pairs.  Cached: the denominators of
+    the degrees of a series and the amplitude products repeat, so a run
+    needs only a few dozen distinct products."""
     out = QLaurent.one()
     for j, e in factors:
         for _ in range(e):
@@ -337,35 +334,23 @@ def _phi_power(factors: tuple[tuple[int, int], ...]) -> QLaurent:
     return out
 
 
-@lru_cache(maxsize=None)
-def _phi_low(j: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """deg Phi_j and the terms of Phi_j below its leading term 1."""
-    p = cyclotomic(j).coeffs
-    n = max(p)
-    return n, tuple((e, v) for e, v in p.items() if e < n)
-
-
-def _phi_divmod(a: list[int], j: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of the dense polynomial sum_i a[i] x^i by
-    the monic Phi_j, by synthetic division."""
-    a = list(a)
-    n, low = _phi_low(j)
-    for top in range(len(a) - 1, n - 1, -1):
-        f = a[top]
+def _phi_divides(p: QLaurent, j: int) -> bool:
+    """Whether Phi_j divides the Laurent polynomial p.  Phi_j divides
+    x^j - 1, so p is first folded modulo x^j - 1 (x^e -> x^(e mod j)) to
+    j coefficients, and only the fold is reduced modulo the monic Phi_j, by
+    synthetic division; for j = 1, 2 the test is then p(1) = 0 and
+    p(-1) = 0."""
+    fold = [0] * j
+    for e, v in p.coeffs.items():
+        fold[e % j] += v
+    phi = cyclotomic(j).coeffs
+    n = max(phi)
+    for top in range(j - 1, n - 1, -1):
+        f = fold[top]
         if f:
-            for e, v in low:
-                a[top - n + e] -= f * v
-    return a[n:], a[:n]
-
-
-def _phi_divides(a: list[int], j: int) -> bool:
-    """Whether Phi_j divides the polynomial sum_i a[i] x^i, or any of its
-    shifts by a power of x, which is a unit modulo Phi_j.  Phi_j divides
-    x^j - 1, so the polynomial is first folded modulo x^j - 1
-    (x^i -> x^(i mod j)) to j coefficients; for j = 1, 2 the test is then
-    p(1) = 0 and p(-1) = 0."""
-    fold = [sum(a[i::j]) for i in range(j)]
-    return not any(_phi_divmod(fold, j)[1])
+            for e, v in phi.items():
+                fold[top - n + e] -= f * v
+    return not any(fold[:n])
 
 
 def qnum_product(p: Partition) -> QLaurent:
