@@ -12,7 +12,10 @@ cleverness.
 Every amplitude is a constant times a product of q-numbers [k]^(+-1) over
 merge vertices, leaves, roots and bridges.  It is built as the exponent of
 each [k], collected in one walk, and reduced over the cyclotomic factors of
-the [k] (`qalgebra.qnum_ratio`), so no amplitude takes a polynomial gcd.
+the [k] (`qalgebra.qnum_ratio`), so no amplitude factors a denominator.  The
+sums over forests and over divisors (`g_k_of_w`) are QRatio sums, which
+reduce over the cyclotomic factors of their denominators too; nothing here
+takes a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -411,47 +414,6 @@ def enumerate_combined_forests(
         if connected_only and not w.is_connected():
             continue
         out.append(w)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Debug serialization (line-based; used by golden-file tests)
-# ---------------------------------------------------------------------------
-
-
-def _node_lines(root: Node, prefix: str, out: list[str]) -> str:
-    """Emit 'vertex <id> c n [white|leaf <index>]' lines; returns the id."""
-    if is_leaf(root):
-        vid = f"{prefix}"
-        out.append(f"vertex {vid} c={root[2]} n={root[3]} leaf={root[1]}")
-        return vid
-    lid = _node_lines(root[4], prefix + "L", out)
-    rid = _node_lines(root[5], prefix + "R", out)
-    vid = f"{prefix}"
-    color = "white" if root[3] else "black"
-    out.append(f"vertex {vid} c={root[1]} n={root[2]} {color}")
-    out.append(f"edge {vid} {lid}")
-    out.append(f"edge {vid} {rid}")
-    return vid
-
-
-def forest_debug_lines(forest: VevForest, tag: str = "") -> list[str]:
-    out: list[str] = []
-    for i, tree in enumerate(forest):
-        _node_lines(tree, f"{tag}t{i}.", out)
-        out.append(f"root {tag}t{i}.")
-    return out
-
-
-def combined_forest_debug_lines(w: CombinedForest) -> list[str]:
-    out: list[str] = []
-    for i, f in enumerate(w.forests):
-        out.extend(forest_debug_lines(f, tag=f"s{i}."))
-    for b in w.bridges:
-        out.append(
-            f"bridge s{b.slot_left}.leaf={b.leaf_left} "
-            f"s{b.slot_right}.leaf={b.leaf_right} h={b.label}"
-        )
     return out
 
 

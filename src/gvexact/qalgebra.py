@@ -5,8 +5,9 @@ Exponents are stored as integers counting units of 1/2 (so the q-power k
 lives at exponent 2k).  Laurent polynomials have integer coefficients; every
 rational value, constants included, is a QRatio of two of them, and the t-
 and y-images are polynomials over Fractions.  No floating point ever enters.
-Pole extraction works by exact polynomial remainder arithmetic modulo t_k,
-never by evaluating at roots of unity.
+Ratios are reduced over the cyclotomic factors Phi_j of their denominators,
+with no polynomial gcd.  Pole extraction works by exact polynomial remainder
+arithmetic modulo t_k, never by evaluating at roots of unity.
 """
 
 from __future__ import annotations
@@ -201,46 +202,6 @@ def _primitive(*polys: dict[int, int]) -> tuple[dict[int, int], ...]:
     return tuple({e: c // g for e, c in p.items()} for p in polys)
 
 
-def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Primitive gcd, positive lead, of two nonzero integer polynomials
-    (min exp 0)."""
-
-    def pseudo_rem(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
-        # primitive pseudo-remainder sequence step
-        dv = max(v)
-        lead = v[dv]
-        u = dict(u)
-        while u and max(u) >= dv:
-            duu = max(u)
-            lu = u[duu]
-            # u = lead*u - lu * x^(duu-dv) * v
-            nu: dict[int, int] = {}
-            for e, c in u.items():
-                nu[e] = c * lead
-            for e, c in v.items():
-                e2 = e + duu - dv
-                nu[e2] = nu.get(e2, 0) - lu * c
-            u = {e: c for e, c in nu.items() if c}
-        return u
-
-    (u,), (v,) = _primitive(a), _primitive(b)
-    if max(u) < max(v):
-        u, v = v, u
-    while v:
-        u, v = v, _primitive(pseudo_rem(u, v))[0]
-    return u
-
-
-def qlaurent_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
-    """Primitive polynomial gcd in x of the shifted-to-zero operands."""
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    g = _int_poly_gcd(a.shifted(-a.min_exp()).coeffs, b.shifted(-b.min_exp()).coeffs)
-    return _laurent(g)
-
-
 # ---------------------------------------------------------------------------
 # q-numbers
 # ---------------------------------------------------------------------------
@@ -280,9 +241,9 @@ def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "Q
     [k] = x^-k prod_{j | 2k} Phi_j(x) and [-k] = -[k].  The Phi_j are monic,
     primitive, irreducible over Q and pairwise coprime, so the product is
     reduced over its cyclotomic factors alone: the exponents of each Phi_j
-    are added up, positive ones go to the numerator, and each Phi_j left in
-    the denominator is divided out of num as long as it divides num
-    (`_phi_divides`).  What remains of num then shares no factor with the
+    are added up, positive ones go to the numerator, and num is divided once
+    by the highest powers of the Phi_j left in the denominator that divide
+    it (`_common_phis`).  What remains of num then shares no factor with the
     denominator.  With num left out, as for the graph amplitudes, nothing is
     trial-divided.  [0] with a positive exponent gives 0; with a negative
     one it is a ZeroDivisionError."""
@@ -310,10 +271,11 @@ def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "Q
     if num is None:
         num = QLaurent.monomial(shift, c.numerator)
     else:
-        for j in sorted(phis):
-            while phis[j] < 0 and _phi_divides(num, j):
-                num = num.divide_exact(cyclotomic(j))
-                phis[j] += 1
+        common = _common_phis(num, tuple((j, -e) for j, e in sorted(phis.items()) if e < 0))
+        if common:
+            num = num.divide_exact(_phi_power(common))
+            for j, k in common:
+                phis[j] += k
         num = _laurent({e + shift: v * c.numerator for e, v in num.coeffs.items()})
     up = tuple((j, e) for j, e in sorted(phis.items()) if e > 0)
     down = tuple((j, -e) for j, e in sorted(phis.items()) if e < 0)
@@ -334,15 +296,15 @@ def _phi_power(factors: tuple[tuple[int, int], ...]) -> QLaurent:
     return out
 
 
-def _phi_divides(p: QLaurent, j: int) -> bool:
-    """Whether Phi_j divides the Laurent polynomial p.  Phi_j divides
-    x^j - 1, so p is first folded modulo x^j - 1 (x^e -> x^(e mod j)) to
-    j coefficients, and only the fold is reduced modulo the monic Phi_j, by
-    synthetic division; for j = 1, 2 the test is then p(1) = 0 and
-    p(-1) = 0."""
+def _phi_divides(p: QLaurent, j: int, i: int = 0) -> bool:
+    """Whether Phi_j divides q = theta^i p, theta = x d/dx, for the Laurent
+    polynomial p (q = sum c_e e^i x^e).  Phi_j divides x^j - 1, so q is
+    first folded modulo x^j - 1 (x^e -> x^(e mod j)) to j coefficients, and
+    only the fold is reduced modulo the monic Phi_j, by synthetic division;
+    for j = 1, 2 the test is then q(1) = 0 and q(-1) = 0."""
     fold = [0] * j
     for e, v in p.coeffs.items():
-        fold[e % j] += v
+        fold[e % j] += v * e**i if i else v
     phi = cyclotomic(j).coeffs
     n = max(phi)
     for top in range(j - 1, n - 1, -1):
@@ -351,6 +313,40 @@ def _phi_divides(p: QLaurent, j: int) -> bool:
             for e, v in phi.items():
                 fold[top - n + e] -= f * v
     return not any(fold[:n])
+
+
+def _phi_multiplicity(p: QLaurent, j: int, most: int) -> int:
+    """The largest k <= most with Phi_j^k | p: Phi_j is squarefree and
+    prime to x, so that holds when Phi_j divides theta^i p for every i < k."""
+    k = 0
+    while k < most and _phi_divides(p, j, k):
+        k += 1
+    return k
+
+
+def _common_phis(num: QLaurent, factors: tuple) -> tuple[tuple[int, int], ...]:
+    """(j, k) for each (j, e) of factors with Phi_j^k | num, 0 < k <= e maximal."""
+    return tuple((j, k) for j, e in factors if (k := _phi_multiplicity(num, j, e)))
+
+
+@lru_cache(maxsize=None)
+def _phi_factors(den: QLaurent) -> tuple[tuple[int, int], ...]:
+    """The (j, e) with den = c x^s prod Phi_j^e, by trial over increasing j;
+    any other den is a ValueError once j > 2 deg^2 for the degree deg left,
+    as phi(j) >= sqrt(j/2).  Cached: the denominators of a run repeat."""
+    rest = den.max_exp() - den.min_exp()
+    out = []
+    j = 1
+    while rest:
+        if j > 2 * rest * rest:
+            raise ValueError(f"{format_qlaurent(den)} is not c x^s prod Phi_j^e")
+        n = cyclotomic(j).max_exp()
+        e = _phi_multiplicity(den, j, rest // n)
+        if e:
+            out.append((j, e))
+            rest -= e * n
+        j += 1
+    return tuple(out)
 
 
 def qnum_product(p: Partition) -> QLaurent:
@@ -406,6 +402,10 @@ def degree_denominator(d: tuple[int, ...]) -> QLaurent:
 class QRatio:
     """Reduced ratio num/den of integer Laurent polynomials.
 
+    den must be an integer times a monomial times Phi_j, as q-numbers, D_d
+    and t_k are (`_phi_factors`); num and den are divided once by the
+    highest power of each Phi_j that divides both, with no polynomial gcd.
+
     Invariants after construction: den has lowest exponent 0 and a positive
     leading coefficient; num and den share no polynomial factor, and the gcd
     of all their coefficients is 1 (a rational constant a/b is QRatio(a, b)).
@@ -420,12 +420,11 @@ class QRatio:
             den = QLaurent.one()
         if den.is_zero():
             raise ZeroDivisionError("QRatio with zero denominator")
-        if len(num.coeffs) > 1 and len(den.coeffs) > 1:
-            # a monomial is a unit of the Laurent ring and shares no factor
-            g = qlaurent_gcd(num, den)
-            if not g.is_one():
-                num = num.divide_exact(g)
-                den = den.divide_exact(g)
+        if num and len(den.coeffs) > 1:
+            common = _common_phis(num, _phi_factors(den))
+            if common:
+                p = _phi_power(common)
+                num, den = num.divide_exact(p), den.divide_exact(p)
         self._normalize(num, den)
 
     def _normalize(self, num: QLaurent, den: QLaurent) -> None:
@@ -443,7 +442,7 @@ class QRatio:
     @staticmethod
     def _coprime(num: QLaurent, den: QLaurent) -> "QRatio":
         """num/den for operands known to share no polynomial factor: the
-        constructor without the gcd."""
+        constructor without the factoring."""
         out = QRatio.__new__(QRatio)
         out._normalize(num, den)
         return out
@@ -522,7 +521,7 @@ class QRatio:
         return QRatio._coerce(other) + (-self)
 
     # Both operands are reduced, so a monomial factor (a unit, constants
-    # included) cannot create a common factor: those products skip the gcd.
+    # included) cannot create a common factor: those products skip _phi_factors.
 
     def __mul__(self, other) -> "QRatio":
         o = QRatio._coerce(other)
@@ -544,18 +543,6 @@ class QRatio:
 
     def __rtruediv__(self, other) -> "QRatio":
         return QRatio._coerce(other) / self
-
-    def __pow__(self, n: int) -> "QRatio":
-        if n < 0:
-            return QRatio.one() / self ** (-n)
-        out = QRatio.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def substitute_power(self, m: int) -> "QRatio":
         """q -> q^m, a ring homomorphism; m >= 1."""

@@ -6,7 +6,8 @@ The specialization sends the power sum p_i to -1/[i].  Skew Schur values and
 W are built from integer character sums as integer Laurent numerators over
 q-factorials (`skew_numerator`, `w_numerator`), with no polynomial gcd; the
 QRatio forms `skew_schur_qrho` and `W_vertex` reduce a cached numerator once
-per entry.
+per entry, over the cyclotomic factors of its q-factorials
+(`qalgebra.qnum_ratio`).
 
 Charge is fixed at zero; a fermionic basis state is indexed by a partition
 through the descending half-integer slot sequence s_i = lambda_i - i + 1/2
@@ -27,7 +28,7 @@ from gvexact.partitions import (
     weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qfactorial, qfactorial_over, qnum
+from gvexact.qalgebra import QLaurent, QRatio, qfactorial, qfactorial_over, qnum, qnum_ratio
 
 FockVector = dict[Partition, QRatio]
 
@@ -69,11 +70,12 @@ def skew_numerator(mu: Partition, eta: Partition) -> QLaurent:
 
 @lru_cache(maxsize=None)
 def skew_schur_qrho(mu: Partition, eta: Partition) -> QRatio:
-    """s_{mu/eta}(q^-rho): its numerator over [|mu| - |eta|]!, reduced once."""
+    """s_{mu/eta}(q^-rho): its numerator over [|mu| - |eta|]!, reduced once
+    over the cyclotomic factors of the q-factorial."""
     n = weight(mu) - weight(eta)
     if n < 0:
         return QRatio.zero()
-    return QRatio(skew_numerator(mu, eta), qfactorial(n))
+    return qnum_ratio(1, {k: -1 for k in range(1, n + 1)}, skew_numerator(mu, eta))
 
 
 @lru_cache(maxsize=None)
@@ -103,28 +105,17 @@ def w_numerator(mu: Partition, nu: Partition) -> QLaurent:
     return -total if (m + n) % 2 else total
 
 
-def schur_qrho_hook(mu: Partition) -> QRatio:
-    """Independent oracle: s_mu(q^-rho) = (-1)^|mu| q^(-kappa/4) / prod [hooks]."""
-    if not mu:
-        return QRatio.one()
-    conj_cols = [sum(1 for a in mu if a > j) for j in range(mu[0])]
-    hooks = QLaurent.one()
-    for i, a in enumerate(mu):
-        for j in range(a):
-            h = (a - j) + (conj_cols[j] - i) - 1
-            hooks = hooks * qnum(h)
-    sign = -1 if weight(mu) % 2 else 1
-    num = QLaurent.monomial(-kappa(mu) // 2, sign)
-    return QRatio(num) / QRatio(hooks)
-
-
 @lru_cache(maxsize=None)
 def W_vertex(mu: Partition, nu: Partition) -> QRatio:
     """(-1)^(|mu|+|nu|) q^((kappa(mu)+kappa(nu))/2) sum_eta s_{mu/eta} s_{nu/eta}
-    at q^-rho: `w_numerator` over [|mu|]! [|nu|]!, reduced once."""
+    at q^-rho: `w_numerator` over [|mu|]! [|nu|]!, reduced once over the
+    cyclotomic factors of the q-factorials."""
     if nu < mu:
         return W_vertex(nu, mu)
-    return QRatio(w_numerator(mu, nu), qfactorial(weight(mu)) * qfactorial(weight(nu)))
+    counts = {k: -1 for k in range(1, weight(mu) + 1)}
+    for k in range(1, weight(nu) + 1):
+        counts[k] = counts.get(k, 0) - 1
+    return qnum_ratio(1, counts, w_numerator(mu, nu))
 
 
 @lru_cache(maxsize=None)

@@ -10,10 +10,11 @@ denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd.  A
 series keeps only the numerators and reduces a coefficient to a QRatio the
 first time it is read.  D_d is a product of cyclotomic polynomials Phi_j, so
 a coefficient is reduced over the cyclotomic factors of its denominator
-(`qalgebra.qnum_ratio`), again with no polynomial gcd.  The matrix path is
-the trace of a cyclic product of transfer matrices over the intermediate
-Fock states, one matrix per slot, whose entries are memoized per slot and
-shared across degrees and gammas.
+(`qalgebra.qnum_ratio`), again with no polynomial gcd; so is the graphs
+path's QRatio sum over combined forests.  The matrix path is the trace of a
+cyclic product of transfer matrices over the intermediate Fock states, one
+matrix per slot, whose entries are memoized per slot and shared across
+degrees and gammas.
 """
 
 from __future__ import annotations

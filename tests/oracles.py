@@ -1,14 +1,20 @@
 """Reference implementations kept as test oracles.
 
+`gcd_ratio(num, den)` reduces a ratio by a primitive pseudo-remainder
+polynomial gcd, for any denominator and independent of any factoring; the
+differential tests compare QRatio's cyclotomic reduction with it.
+
 These are the ratio-arithmetic versions that the integer pipeline replaced:
 the skew-Schur character sum and the vertex weight as sums of reduced
 QRatios, and the Mobius inversion G_d with its t-integrality verdict as a
-QRatio sum over a coefficient lookup.  Each addition reduces by a polynomial
-gcd, so they are slow but independent of the numerator bookkeeping.
+QRatio sum over a coefficient lookup.  They are slow but independent of the
+numerator bookkeeping.
 
 The graph amplitudes A(T), A(F), B(T) and H(W) are kept the same way: as
-chains of QRatio products and quotients, each reduced by a gcd, against the
-engine's cyclotomic exponent vectors.
+chains of QRatio products and quotients, against the engine's q-number
+exponent vectors.  The Schur value by the hook-length formula and the
+line-based debug serialization of forests, which the golden files pin, are
+kept here too.
 
 The matrix-element path's r-set sum is kept as the oracle for its transfer-
 matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
@@ -22,6 +28,8 @@ from fractions import Fraction
 
 from gvexact.characters import mn_character
 from gvexact.graph_engine import (
+    CombinedForest,
+    VevForest,
     is_leaf,
     node_c,
     node_children,
@@ -42,6 +50,7 @@ from gvexact.qalgebra import (
     NotSymmetricInT,
     QLaurent,
     QRatio,
+    _primitive,
     degree_denominator,
     qfactorial_over,
     qnum,
@@ -50,6 +59,74 @@ from gvexact.qalgebra import (
     to_t_poly,
 )
 from gvexact.schur_vertex import matrix_element_char
+
+
+def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Primitive gcd, positive lead, of two nonzero integer polynomials
+    (min exp 0)."""
+
+    def pseudo_rem(u: dict[int, int], v: dict[int, int]) -> dict[int, int]:
+        # primitive pseudo-remainder sequence step
+        dv = max(v)
+        lead = v[dv]
+        u = dict(u)
+        while u and max(u) >= dv:
+            duu = max(u)
+            lu = u[duu]
+            # u = lead*u - lu * x^(duu-dv) * v
+            nu: dict[int, int] = {}
+            for e, c in u.items():
+                nu[e] = c * lead
+            for e, c in v.items():
+                e2 = e + duu - dv
+                nu[e2] = nu.get(e2, 0) - lu * c
+            u = {e: c for e, c in nu.items() if c}
+        return u
+
+    (u,), (v,) = _primitive(a), _primitive(b)
+    if max(u) < max(v):
+        u, v = v, u
+    while v:
+        u, v = v, _primitive(pseudo_rem(u, v))[0]
+    return u
+
+
+def qlaurent_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
+    """Primitive polynomial gcd in x of the shifted-to-zero operands."""
+    if a.is_zero():
+        return b
+    if b.is_zero():
+        return a
+    return QLaurent(_int_poly_gcd(a.shifted(-a.min_exp()).coeffs, b.shifted(-b.min_exp()).coeffs))
+
+
+def gcd_ratio(num: QLaurent, den: QLaurent | None = None) -> QRatio:
+    """num/den reduced by the polynomial gcd, for any nonzero den: the
+    reference for the engine's cyclotomic reduction."""
+    if den is None:
+        den = QLaurent.one()
+    if den.is_zero():
+        raise ZeroDivisionError("QRatio with zero denominator")
+    if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+        # a monomial is a unit of the Laurent ring and shares no factor
+        g = qlaurent_gcd(num, den)
+        num, den = num.divide_exact(g), den.divide_exact(g)
+    return QRatio._coprime(num, den)
+
+
+def schur_qrho_hook(mu) -> QRatio:
+    """s_mu(q^-rho) = (-1)^|mu| q^(-kappa/4) / prod [hooks]."""
+    if not mu:
+        return QRatio.one()
+    conj_cols = [sum(1 for a in mu if a > j) for j in range(mu[0])]
+    hooks = QLaurent.one()
+    for i, a in enumerate(mu):
+        for j in range(a):
+            h = (a - j) + (conj_cols[j] - i) - 1
+            hooks = hooks * qnum(h)
+    sign = -1 if weight(mu) % 2 else 1
+    num = QLaurent.monomial(-kappa(mu) // 2, sign)
+    return QRatio(num) / QRatio(hooks)
 
 
 def skew_schur_oracle(mu, eta) -> QRatio:
@@ -205,3 +282,39 @@ def z_coefficient_matrix_rsets(gamma, d) -> QRatio:
     if sum(g * di for g, di in zip(gamma, d)) % 2:
         total = -total
     return QRatio(total, degree_denominator(d) * QLaurent.const(scale))
+
+
+def _node_lines(root, prefix: str, out: list[str]) -> str:
+    """Emit 'vertex <id> c n [white|leaf <index>]' lines; returns the id."""
+    if is_leaf(root):
+        vid = f"{prefix}"
+        out.append(f"vertex {vid} c={root[2]} n={root[3]} leaf={root[1]}")
+        return vid
+    lid = _node_lines(root[4], prefix + "L", out)
+    rid = _node_lines(root[5], prefix + "R", out)
+    vid = f"{prefix}"
+    color = "white" if root[3] else "black"
+    out.append(f"vertex {vid} c={root[1]} n={root[2]} {color}")
+    out.append(f"edge {vid} {lid}")
+    out.append(f"edge {vid} {rid}")
+    return vid
+
+
+def forest_debug_lines(forest: VevForest, tag: str = "") -> list[str]:
+    out: list[str] = []
+    for i, tree in enumerate(forest):
+        _node_lines(tree, f"{tag}t{i}.", out)
+        out.append(f"root {tag}t{i}.")
+    return out
+
+
+def combined_forest_debug_lines(w: CombinedForest) -> list[str]:
+    out: list[str] = []
+    for i, f in enumerate(w.forests):
+        out.extend(forest_debug_lines(f, tag=f"s{i}."))
+    for b in w.bridges:
+        out.append(
+            f"bridge s{b.slot_left}.leaf={b.leaf_left} "
+            f"s{b.slot_right}.leaf={b.leaf_right} h={b.label}"
+        )
+    return out

@@ -63,25 +63,26 @@ def test_vev_amplitudes_match_ratio_products():
 
 
 def test_combined_amplitudes_match_ratio_products_without_a_gcd(monkeypatch):
+    # the amplitudes come with q-number counts, so they factor no denominator
     forests = list(combined_forests())
     assert any(not w.is_connected() for w in forests)
-    gcd_calls = 0
-    real_gcd = qalgebra.qlaurent_gcd
+    factorings = 0
+    real_factors = qalgebra._phi_factors
 
-    def counting_gcd(a, b):
-        nonlocal gcd_calls
-        gcd_calls += 1
-        return real_gcd(a, b)
+    def counting_factors(den):
+        nonlocal factorings
+        factorings += 1
+        return real_factors(den)
 
-    monkeypatch.setattr(qalgebra, "qlaurent_gcd", counting_gcd)
+    monkeypatch.setattr(qalgebra, "_phi_factors", counting_factors)
     for w in forests:
         for k in (1, 2, 3):
             wk = scale_forest(w, k)
-            before = gcd_calls
+            before = factorings
             h = amplitude_H(wk)
-            assert gcd_calls == before, wk
+            assert factorings == before, wk
             assert same(h, amplitude_H_oracle(wk)), wk
-    assert gcd_calls > 0  # the oracle does reduce by gcd
+    assert factorings > 0  # the oracle's ratio products do factor
 
 
 def test_zero_zeta_gives_zero():

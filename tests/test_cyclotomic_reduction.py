@@ -1,6 +1,6 @@
 """Z, F and matrix coefficients reduced over the cyclotomic factors of their
-denominator (`qalgebra.qnum_ratio`), checked against the gcd constructor
-`QRatio(num, den)` they replaced, and checked to run no polynomial gcd."""
+denominator (`qalgebra.qnum_ratio`), checked against the polynomial-gcd
+reduction `oracles.gcd_ratio`, and checked to factor no denominator."""
 
 import math
 from fractions import Fraction
@@ -27,6 +27,7 @@ from gvexact.series import (
     z_coefficient_def,
     z_coefficient_matrix,
 )
+from oracles import gcd_ratio
 
 # the six gammas of the benchmark's sweep-wide workload at seed 0
 SWEEP_GAMMAS = [
@@ -55,14 +56,14 @@ def test_series_coefficients_match_gcd_reduction(gamma, cap):
     checked = 0
     for d, zn in zs.numerators.items():
         den = degree_denominator(d)
-        assert same(zs.get(d), QRatio(zn, den)), d
+        assert same(zs.get(d), gcd_ratio(zn, den)), d
         # the matrix path's numerator, over D_d prod d_i!^2
         scale = math.prod(math.factorial(di) ** 2 for di in d)
         got = qnum_ratio(Fraction(1, scale), degree_counts(d), zn * const(scale))
-        assert same(got, QRatio(zn * const(scale), den * const(scale))), d
+        assert same(got, gcd_ratio(zn * const(scale), den * const(scale))), d
         checked += 1
     for d, fn in fs.numerators.items():
-        expect = QRatio(fn, degree_denominator(d) * const(sum(d)))
+        expect = gcd_ratio(fn, degree_denominator(d) * const(sum(d)))
         assert same(fs.get(d), expect), d
         checked += 1
     assert checked > 30
@@ -91,28 +92,29 @@ def test_random_numerators_match_gcd_reduction(p, phis, counts, c):
             else:
                 bottom = bottom * qnum(k)
     got = qnum_ratio(c, counts, num)
-    expect = QRatio(top, bottom)
+    expect = gcd_ratio(top, bottom)
     assert same(got, expect)
     assert got.den.min_exp() == 0 and got.den.coeffs[got.den.max_exp()] > 0
 
 
-def count_gcd_calls(monkeypatch) -> list[int]:
+def count_factorings(monkeypatch) -> list[int]:
     calls = [0]
-    real_gcd = qalgebra.qlaurent_gcd
+    real_factors = qalgebra._phi_factors
 
-    def counting_gcd(a, b):
+    def counting_factors(den):
         calls[0] += 1
-        return real_gcd(a, b)
+        return real_factors(den)
 
-    monkeypatch.setattr(qalgebra, "qlaurent_gcd", counting_gcd)
+    monkeypatch.setattr(qalgebra, "_phi_factors", counting_factors)
     return calls
 
 
 def test_coefficient_reads_take_no_gcd(monkeypatch):
+    # the reads come with q-number counts, so they factor no denominator
     gamma = SWEEP_GAMMAS[0]
     zs = build_z_series(gamma, 4)
     fs = zs.log()
-    calls = count_gcd_calls(monkeypatch)
+    calls = count_factorings(monkeypatch)
     z = {d: zs.get(d) for d in zs.numerators}
     f = {d: fs.get(d) for d in fs.numerators}
     m = {d: z_coefficient_matrix(gamma, d) for d in degree_vectors(4, 3)}
@@ -121,12 +123,14 @@ def test_coefficient_reads_take_no_gcd(monkeypatch):
     assert len(z) > 30 and len(f) > 30
     for d, v in m.items():
         assert same(v, z[d]), d
-        assert same(v, QRatio(zs.numerators[d], degree_denominator(d))), d
+        assert same(v, gcd_ratio(zs.numerators[d], degree_denominator(d))), d
     for d, v in zdef.items():
         assert same(v, z[d]), d
     for d, v in f.items():
-        assert same(v, QRatio(fs.numerators[d], degree_denominator(d) * const(sum(d)))), d
-    assert calls[0] > 0  # the reference does reduce by gcd
+        assert same(v, gcd_ratio(fs.numerators[d], degree_denominator(d) * const(sum(d)))), d
+    d = (2, 1, 0, 1)
+    assert same(QRatio(zs.numerators[d], degree_denominator(d)), z[d])
+    assert calls[0] > 0  # the counter sees QRatio(num, den) factor its den
 
 
 def test_zero_numerator():
@@ -148,13 +152,13 @@ def test_negative_exponents_fold_modulo_j():
             num = (cyclotomic(j) * QLaurent({0: 2, 3: -1, 5: 1})).shifted(shift)
             counts = {3: -2, 4: -1}
             got = qnum_ratio(1, counts, num)
-            expect = QRatio(num, qnum(3) * qnum(3) * qnum(4))
+            expect = gcd_ratio(num, qnum(3) * qnum(3) * qnum(4))
             assert same(got, expect), (shift, j)
             assert len(got.den.coeffs) > 1
     # divisible by nothing: the denominator stays whole
     num = QLaurent({-5: 1, -2: 2})  # x^-5 (1 + 2x^3)
     got = qnum_ratio(1, {3: -1}, num)
-    assert same(got, QRatio(num, qnum(3)))
+    assert same(got, gcd_ratio(num, qnum(3)))
     assert got.den == qnum(3).shifted(3)
 
 
@@ -164,9 +168,9 @@ def test_degrees_with_zero_entries():
     fs = zs.log()
     for d in [(2, 0, 0, 1, 0, 0), (0, 3, 0, 0, 0, 0), (1, 0, 1, 0, 0, 1)]:
         assert degree_counts(d) == degree_counts(tuple(x for x in d if x))
-        assert same(zs.get(d), QRatio(zs.numerator(d), degree_denominator(d)))
+        assert same(zs.get(d), gcd_ratio(zs.numerator(d), degree_denominator(d)))
         assert same(z_coefficient_matrix(gamma, d), zs.get(d))
-        expect = QRatio(fs.numerator(d), degree_denominator(d) * const(sum(d)))
+        expect = gcd_ratio(fs.numerator(d), degree_denominator(d) * const(sum(d)))
         assert same(fs.get(d), expect)
     assert fs.get((2, 0, 0, 1, 0, 0)).is_zero()  # slots 1 and 4 are not adjacent
     assert not fs.get((1, 0, 0, 0, 0, 1)).is_zero()
@@ -191,7 +195,7 @@ def test_weighted_degree_shares_content_with_numerator():
                 qnum(1) * qnum(1) * const(9)):
         s.set_numerator(d, num)
         got = s.get(d)
-        assert same(got, QRatio(num, degree_denominator(d) * const(3))), num
+        assert same(got, gcd_ratio(num, degree_denominator(d) * const(3))), num
         assert math.gcd(*got.num.coeffs.values(), *got.den.coeffs.values()) == 1
     s.set_numerator(d, degree_denominator(d) * const(6))
     assert s.get(d) == QRatio.const(2)
@@ -201,9 +205,9 @@ def test_zero_and_zero_qnumber_branches_with_a_numerator():
     p = QLaurent({-2: 1, 1: 4})
     assert qnum_ratio(3, {0: 1, 2: -1}, p).is_zero()
     assert qnum_ratio(0, {2: -1}, p).is_zero()
-    assert same(qnum_ratio(5, {0: 0, 1: 0}, p), QRatio(p * const(5)))
+    assert same(qnum_ratio(5, {0: 0, 1: 0}, p), gcd_ratio(p * const(5)))
     with pytest.raises(ZeroDivisionError):
         qnum_ratio(1, {0: -1, 2: 1}, p)
     # a positive count multiplies a non-monomial numerator too
     assert same(qnum_ratio(Fraction(2, 3), {2: 1, 1: -2}, p),
-                QRatio(p * qnum(2) * const(2), qnum(1) * qnum(1) * const(3)))
+                gcd_ratio(p * qnum(2) * const(2), qnum(1) * qnum(1) * const(3)))

@@ -13,11 +13,12 @@ from gvexact.qalgebra import (
     QLaurent,
     QRatio,
     RPoly,
+    _phi_factors,
+    cyclotomic,
     format_qratio,
     pole_extract,
     qbinomial,
     qfactorial,
-    qlaurent_gcd,
     qnum,
     qnum_product,
     qnum_ratio,
@@ -27,6 +28,7 @@ from gvexact.qalgebra import (
     to_y_poly,
     try_to_t_poly,
 )
+from oracles import gcd_ratio, qlaurent_gcd
 
 
 def q(k):
@@ -110,9 +112,9 @@ def test_t_k_examples_and_round_trip():
         assert p.is_integral()
         assert to_t_poly(t_k_qratio(k)) == p
         # literal round trip: re-expand the t-polynomial in q and convert back
-        expanded = QRatio.zero()
-        for i, c in enumerate(p.coeffs):
-            expanded = expanded + t**i * c
+        expanded, power = QRatio.zero(), QRatio.one()
+        for c in p.coeffs:
+            expanded, power = expanded + power * c, power * t
         assert to_t_poly(expanded) == p
 
 
@@ -233,7 +235,25 @@ POINTS = (Fraction(2), Fraction(-3), Fraction(1, 2), Fraction(5, 3))
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=150)
 
 laurents = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=4).map(QLaurent)
-ratios = st.builds(QRatio, laurents, laurents.filter(bool))
+
+
+def phi_product(c: int, e: int, js: list[int]) -> QLaurent:
+    out = QLaurent.monomial(e, c)
+    for j in js:
+        out = out * cyclotomic(j)
+    return out
+
+
+# every denominator of the engine: an integer times a monomial times Phi_j
+phi_products = st.builds(
+    phi_product,
+    st.integers(-9, 9).filter(bool),
+    st.integers(-6, 6),
+    st.lists(st.integers(1, 12), max_size=3),
+)
+ratios = st.builds(QRatio, laurents, phi_products)
+# the ratios that can divide: a Phi_j product over a Phi_j product
+divisors = st.builds(QRatio, phi_products, phi_products)
 # the units of the ring: nonzero Fractions and rational multiples of x^e
 units = st.one_of(
     st.fractions(max_denominator=12).filter(bool),
@@ -265,37 +285,36 @@ def assert_normalized(f: QRatio) -> None:
 
 
 @PROPERTY
-@given(ratios, ratios, st.integers(1, 3), units)
-def test_ratio_arithmetic_matches_fraction_evaluation(a, b, m, u):
-    # a unit factor skips the gcd; the result must equal the full-gcd construction
+@given(ratios, ratios, divisors, st.integers(1, 3), units)
+def test_ratio_arithmetic_matches_fraction_evaluation(a, b, d, m, u):
+    # a unit factor skips the factoring; the result must equal the gcd reduction
     uq = u if isinstance(u, QRatio) else QRatio.const(u)
-    by_unit = QRatio(a.num * uq.num, a.den * uq.den)
-    over_unit = QRatio(a.num * uq.den, a.den * uq.num)
+    by_unit = gcd_ratio(a.num * uq.num, a.den * uq.den)
+    over_unit = gcd_ratio(a.num * uq.den, a.den * uq.num)
     assert a * u == u * a == by_unit and a / u == over_unit
-    if a:
-        assert u / a == QRatio(uq.num * a.den, uq.den * a.num)
-    for f in (a * u, a / u):
+    assert u / d == gcd_ratio(uq.num * d.den, uq.den * d.num)
+    for f in (a * u, a / u, u / d):
         assert_normalized(f)
     ops = {
         "+": (a + b, lambda x, y: x + y),
         "-": (a - b, lambda x, y: x - y),
         "*": (a * b, lambda x, y: x * y),
+        "/": (a / d, lambda x, y: x / y),
     }
-    if b:
-        ops["/"] = (a / b, lambda x, y: x / y)
     for f, _ in ops.values():
         assert_normalized(f)
     sub = a.substitute_power(m)
     assert_normalized(sub)
     assert (a + b) - b == a and hash((a + b) - b) == hash(a)
-    if b:
-        assert (a * b) / b == a
+    assert (a * d) / d == a
     for x0 in POINTS:
-        va, vb = value(a, x0), value(b, x0)
-        if va is not None and vb is not None:
+        va, vb, vd = value(a, x0), value(b, x0), value(d, x0)
+        if va is not None and vb is not None and vd is not None:
             for op, (f, fn) in ops.items():
-                if op != "/" or vb:
+                if op != "/":
                     assert value(f, x0) == fn(va, vb), op
+                elif vd:
+                    assert value(f, x0) == fn(va, vd), op
         va_m = value(a, x0**m)
         if va_m is not None:
             assert value(sub, x0) == va_m
@@ -327,7 +346,7 @@ def test_t_and_y_images_match_fraction_evaluation(pairs, c0, den, even):
 @given(ratios, st.integers(1, 4))
 def test_substitute_power_equals_full_gcd_construction(a, m):
     sub = a.substitute_power(m)
-    full = QRatio(a.num.substitute_power(m), a.den.substitute_power(m))
+    full = gcd_ratio(a.num.substitute_power(m), a.den.substitute_power(m))
     assert sub.num == full.num and sub.den == full.den
 
 
@@ -386,3 +405,58 @@ def test_kernel_rejects_non_integers():
     with pytest.raises(ValueError):
         QLaurent({0: 2, 1: 3, 2: 2}).divide_exact(QLaurent({0: 1, 1: 2}))
     assert QRatio.const(Fraction(-2, 6)) == QRatio(QLaurent.const(-1), QLaurent.const(3))
+
+
+# ---------------------------------------------------------------------------
+# Denominators: integer times monomial times cyclotomic polynomials
+# ---------------------------------------------------------------------------
+
+# degree <= 4, with no cyclotomic factor or with one beside another factor
+NON_CYCLOTOMIC = (
+    QLaurent({0: 1, 2: 3}),
+    QLaurent({0: 2, 1: 1}),
+    QLaurent({0: -3, 2: 1}),
+    QLaurent({0: 5, 1: 1, 4: 1}),
+    cyclotomic(3) * QLaurent({0: 1, 1: 1, 2: 2}),
+    cyclotomic(1) * QLaurent({0: 3, 3: 1}).shifted(-2),
+)
+
+
+@pytest.mark.parametrize("den", NON_CYCLOTOMIC, ids=str)
+def test_non_cyclotomic_denominator_is_refused(den):
+    with pytest.raises(ValueError):
+        _phi_factors(den)
+    with pytest.raises(ValueError):
+        QRatio(QLaurent.monomial(3, -2), den)
+    with pytest.raises(ValueError):
+        QRatio(QLaurent({0: 1, 5: 2, -1: 7}), den)
+    with pytest.raises(ValueError):
+        q(2) / QRatio(den)
+    # a zero numerator is 0 whatever the denominator
+    assert QRatio(QLaurent.zero(), den).is_zero()
+
+
+def test_phi_factors_exponents():
+    # j above the degree 12 of the product: Phi_7, Phi_14 and Phi_18 have degree 6
+    assert _phi_factors(cyclotomic(7) * cyclotomic(14)) == ((7, 1), (14, 1))
+    assert _phi_factors(cyclotomic(14) * cyclotomic(18)) == ((14, 1), (18, 1))
+    den = phi_product(-6, -5, [1, 2, 2, 5, 10, 10, 10, 12])
+    assert _phi_factors(den) == ((1, 1), (2, 2), (5, 1), (10, 3), (12, 1))
+    assert _phi_factors(qnum(3) * qnum(3)) == ((1, 2), (2, 2), (3, 2), (6, 2))
+
+
+def test_multiplicities_up_to_three_on_both_sides():
+    p = QLaurent({-2: 3, 0: 1, 3: -2})  # divisible by no Phi_j below
+    for j in (1, 2, 3, 4, 6, 7, 12):
+        for a in range(4):
+            for b in range(4):
+                num = phi_product(2, 1, [j] * a + [5]) * p
+                den = phi_product(-4, -3, [j] * b + [1])
+                f = QRatio(num, den)
+                assert f == gcd_ratio(num, den), (j, a, b)
+                assert_normalized(f)
+                # [j]^b, which holds Phi_j^b, given as a q-number count
+                bottom = QLaurent.const(3)
+                for _ in range(b):
+                    bottom = bottom * qnum(j)
+                assert qnum_ratio(Fraction(1, 3), {j: -b}, num) == gcd_ratio(num, bottom)

@@ -10,14 +10,13 @@ from gvexact.schur_vertex import (
     W_vertex,
     apply_E,
     matrix_element_char,
-    schur_qrho_hook,
     skew_schur_qrho,
     vacuum,
     vev_fock,
 )
 from gvexact.characters import mn_character
 from gvexact.graph_engine import graph_word
-from oracles import skew_schur_oracle, w_vertex_oracle
+from oracles import schur_qrho_hook, skew_schur_oracle, w_vertex_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)

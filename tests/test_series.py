@@ -24,7 +24,7 @@ def test_hand_oracles():
     assert z_coefficient_def((1, 1, 1), (1, 0, 0)) == -(ONE / T)
     for g1 in (-1, 0, 1):
         for g2 in (-2, 1, 2):
-            expect = (ONE + ONE / T) ** 2 * ((-1) ** (g1 + g2))
+            expect = (ONE + ONE / T) * (ONE + ONE / T) * ((-1) ** (g1 + g2))
             assert z_coefficient_def((g1, g2), (1, 1)) == expect
     # single-box degree: always +-1/t
     for gamma in [(1, 1, 1), (0, -2), (2, 2, 0, 1)]:
@@ -75,7 +75,10 @@ def test_log_visits_degrees_where_z_vanishes():
     z.constant = ONE
     z.set((1, 0), c)
     f = z.log()
-    expect = {(k, 0): c**k * QRatio.const((-1) ** (k + 1)) / k for k in range(1, 6)}
+    expect, power = {}, ONE
+    for k in range(1, 6):
+        power = power * c
+        expect[k, 0] = power * QRatio.const((-1) ** (k + 1)) / k
     assert f.coefficients == expect
 
 
