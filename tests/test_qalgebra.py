@@ -432,6 +432,10 @@ def test_non_cyclotomic_denominator_is_refused(den):
         QRatio(QLaurent({0: 1, 5: 2, -1: 7}), den)
     with pytest.raises(ValueError):
         q(2) / QRatio(den)
+    # a monomial dividend, whose quotient skips the factoring of num/den
+    for one in (1, Fraction(1, 2), QRatio(QLaurent.monomial(-3, 5))):
+        with pytest.raises(ValueError):
+            one / QRatio(den)
     # a zero numerator is 0 whatever the denominator
     assert QRatio(QLaurent.zero(), den).is_zero()
 
