@@ -7,9 +7,9 @@ reuse across the weight-indexed sweeps in the matrix-element sums.
 
 from __future__ import annotations
 
-from gvexact.partitions import Partition, enumerate_partitions, z_factor
+from functools import lru_cache
 
-_cache: dict[tuple[Partition, Partition], int] = {}
+from gvexact.partitions import Partition, enumerate_partitions, z_factor
 
 
 def mn_character(lam: Partition, mu: Partition) -> int:
@@ -19,13 +19,10 @@ def mn_character(lam: Partition, mu: Partition) -> int:
     return _mn(lam, mu)
 
 
+@lru_cache(maxsize=None)
 def _mn(lam: Partition, mu: Partition) -> int:
     if not mu:
         return 1
-    key = (lam, mu)
-    v = _cache.get(key)
-    if v is not None:
-        return v
     r = mu[0]
     rest = mu[1:]
     l = len(lam)
@@ -45,7 +42,6 @@ def _mn(lam: Partition, mu: Partition) -> int:
             c - (l - 1 - j) for j, c in enumerate(new_beta) if c - (l - 1 - j) > 0
         )
         total += (-1) ** height * _mn(newlam, rest)
-    _cache[key] = total
     return total
 
 

@@ -74,13 +74,6 @@ def zeta(v: Node) -> int:
     return node_c(l) * node_n(r) - node_n(l) * node_c(r)
 
 
-def strip_indices(v: Node) -> Node:
-    """Forget leaf indices (for equivalence classes)."""
-    if is_leaf(v):
-        return ("L", 0, v[2], v[3])
-    return ("M", v[1], v[2], v[3], strip_indices(v[4]), strip_indices(v[5]))
-
-
 def scale_node(v: Node, k: int) -> Node:
     if is_leaf(v):
         return ("L", v[1], k * v[2], k * v[3])
@@ -115,9 +108,9 @@ def generate_vev_forests(cs: tuple[int, ...], ns: tuple[int, ...]) -> tuple[VevF
     return _rec(word)
 
 
-@lru_cache(maxsize=None)
 def _rec(word: tuple[Node, ...]) -> tuple[VevForest, ...]:
-    """Forests completed while reducing `word` against the vacuum."""
+    """Forests completed while reducing `word` against the vacuum.  Not
+    memoized: hashing the nested word costs about what the repeat calls do."""
     done: list[Node] = []
     w = list(word)
     while True:
@@ -196,15 +189,9 @@ def _tree_factors(root: Node, counts: dict[int, int], leaves: bool) -> int:
     return const
 
 
-def amplitude_tree(root: Node) -> QRatio:
-    """A(T): prod [zeta_v] / [n_root] for a black root, and
-    c_{L(root)} * prod over non-root merges [zeta_v] for a white root."""
-    counts: dict[int, int] = {}
-    return qnum_ratio(_tree_factors(root, counts, False), counts)
-
-
 def amplitude_A(forest: VevForest) -> QRatio:
-    """A(F) = prod_T A(T)."""
+    """A(F) = prod_T A(T), with A(T) = prod [zeta_v] / [n_root] for a black
+    root and c_{L(root)} prod over non-root merges [zeta_v] for a white one."""
     counts: dict[int, int] = {}
     const = 1
     for t in forest:
@@ -241,12 +228,6 @@ def forests_for(mu: Partition, nu: Partition, a: int) -> tuple[VevForest, ...]:
 def connected_trees_for(mu: Partition, nu: Partition, a: int) -> list[Node]:
     """Single-tree forests (the connected graph set) for (mu, nu, a)."""
     return [f[0] for f in forests_for(mu, nu, a) if len(f) == 1]
-
-
-def forest_canonical(forest: VevForest) -> tuple:
-    """Canonical serialization without leaf indices; trees sorted, L/R order
-    kept (it is labeled by the sign split, so it is structural)."""
-    return tuple(sorted(strip_indices(t) for t in forest))
 
 
 # ---------------------------------------------------------------------------

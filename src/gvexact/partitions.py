@@ -49,12 +49,6 @@ def kappa(p: Partition) -> int:
     return sum(a * (a - 2 * (i + 1) + 1) for i, a in enumerate(p))
 
 
-def conjugate(p: Partition) -> Partition:
-    if not p:
-        return EMPTY
-    return tuple(sum(1 for a in p if a >= i) for i in range(1, p[0] + 1))
-
-
 def multiplicities(p: Partition) -> dict[int, int]:
     m: dict[int, int] = {}
     for a in p:
@@ -156,8 +150,6 @@ def enumerate_rsets(r: int, degree: tuple[int, ...]) -> list[RSet]:
     for lam_w in itertools.product(*(range(c + 1) for c in caps)):
         mu_w = [degree[i] - lam_w[i] for i in range(r)]
         nu_w = [degree[i] - lam_w[(i + 1) % r] for i in range(r)]
-        if any(w < 0 for w in mu_w) or any(w < 0 for w in nu_w):
-            continue
         mu_choices = [enumerate_partitions(w) for w in mu_w]
         nu_choices = [enumerate_partitions(w) for w in nu_w]
         lam_choices = [enumerate_partitions(w) for w in lam_w]

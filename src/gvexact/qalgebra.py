@@ -341,8 +341,8 @@ def _phi_factors(den: QLaurent) -> tuple[tuple[int, int], ...]:
     while rest:
         if j > 2 * rest * rest:
             raise ValueError(f"{format_qlaurent(den)} is not c x^s prod Phi_j^e")
-        n = cyclotomic(j).max_exp()
-        e = _phi_multiplicity(den, j, rest // n)
+        n = sum(math.gcd(i, j) == 1 for i in range(j))  # phi(j), the degree of Phi_j
+        e = _phi_multiplicity(den, j, rest // n)  # 0, with Phi_j unbuilt, if n > rest
         if e:
             out.append((j, e))
             rest -= e * n
@@ -364,7 +364,6 @@ def qfactorial(n: int) -> QLaurent:
     return QLaurent.one() if n == 0 else qfactorial(n - 1) * qnum(n)
 
 
-@lru_cache(maxsize=None)
 def qbinomial(n: int, k: int) -> QLaurent:
     """[n]! / ([k]! [n-k]!), an integer Laurent polynomial for 0 <= k <= n."""
     return qfactorial(n).divide_exact(qfactorial(k) * qfactorial(n - k))
@@ -385,7 +384,6 @@ def degree_counts(d: tuple[int, ...]) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
 def degree_denominator(d: tuple[int, ...]) -> QLaurent:
     """D_d = prod_i [d_i]!^2: Z_d D_d and |d| F_d D_d are integer Laurent
     polynomials.  Its leading coefficient is 1."""
@@ -539,8 +537,6 @@ class QRatio:
         if o.is_zero():
             raise ZeroDivisionError("QRatio division by zero")
         num, den = self.num * o.den, self.den * o.num
-        if o.is_monomial():
-            return QRatio._coprime(num, den)
         if self.is_monomial():
             _phi_factors(o.num)  # o.num becomes a denominator: refuse it unless cyclotomic
             return QRatio._coprime(num, den)
@@ -582,10 +578,6 @@ class RPoly:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @staticmethod
-    def const(v) -> "RPoly":
-        return RPoly([Fraction(v)])
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -597,41 +589,25 @@ class RPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RPoly.const(other)
+            other = RPoly([other])
         return isinstance(other, RPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __add__(self, other) -> "RPoly":
-        if isinstance(other, (int, Fraction)):
-            other = RPoly.const(other)
+    def __add__(self, other: "RPoly") -> "RPoly":
         n = max(len(self.coeffs), len(other.coeffs))
         return RPoly([self[i] + other[i] for i in range(n)])
-
-    __radd__ = __add__
 
     def __neg__(self) -> "RPoly":
         return RPoly([-c for c in self.coeffs])
 
-    def __sub__(self, other) -> "RPoly":
-        if isinstance(other, (int, Fraction)):
-            other = RPoly.const(other)
+    def __sub__(self, other: "RPoly") -> "RPoly":
         return self + (-other)
 
-    def __rsub__(self, other) -> "RPoly":
-        return RPoly.const(other) - self
-
     def __mul__(self, other) -> "RPoly":
-        if isinstance(other, (int, Fraction)):
-            return RPoly([c * other for c in self.coeffs])
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return RPoly(out)
+        """The product with a scalar."""
+        return RPoly([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 

@@ -38,7 +38,6 @@ from gvexact.qalgebra import (
     QLaurent,
     QRatio,
     degree_counts,
-    degree_denominator,
     qbinomial,
     qfactorial_over,
     qnum_ratio,
@@ -258,21 +257,6 @@ class DegreeSeries:
     def _weight(self, d: tuple[int, ...]) -> int:
         """c_d = numerators[d] / (weight * D_d)."""
         return sum(d) if self.weighted else 1
-
-    def set(self, d: tuple[int, ...], v: QRatio) -> None:
-        """Store c_d = v; raises ValueError unless v times the denominator
-        of d is an integer Laurent polynomial."""
-        if not any(d):
-            self.constant = v
-        elif self._keeps(d):
-            try:
-                den = degree_denominator(d) * QLaurent.const(self._weight(d))
-                num = (v.num * den).divide_exact(v.den)
-            except ValueError:
-                raise ValueError(
-                    f"coefficient at {d} times D_d is not an integer Laurent polynomial"
-                ) from None
-            self.set_numerator(d, num)
 
     def set_numerator(self, d: tuple[int, ...], num: QLaurent) -> None:
         """Store the numerator of c_d for a nonzero kept degree d."""

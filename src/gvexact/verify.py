@@ -261,13 +261,13 @@ def suite_exp_formula() -> str:
 def suite_pole_structure(
     max_weight: int = 3,
     gammas=((1, 1), (-1, -1), (1, 1, 1)),
-    scales: tuple[int, ...] = (),
+    scales: tuple[int, ...] = (2, 3),
 ) -> str:
     """Per-tree pole decompositions with the g_T scaling law up to
     `max_weight`, and the pole structure of every connected combined forest
     to |d| <= 3 over `gammas`.  For each k in `scales`, forests of cycle rank
     0 over primitive r-sets also get the scaled-amplitude law for H(W_(k))
-    and the t-integrality of g_k(W)."""
+    and the t-integrality of g_k(W); `gv verify` checks k = 2, 3."""
     trees = 0
     for d in range(1, max_weight + 1):
         for mu in enumerate_partitions(d):
@@ -317,10 +317,9 @@ def suite_pole_structure(
                             f"t_k H not in Z[t] at {rs}",
                         )
                     combined += 1
-                    if scales and beta == 0 and rs.parts_gcd() == 1:
+                    if beta == 0 and rs.parts_gcd() == 1:
                         scaled += _check_scaled_forest(w, h, gamma, scales)
-    detail = f"pole data on {trees} trees, {combined} combined forests"
-    return detail + (f" ({scaled} scaled checks)" if scales else "")
+    return f"pole data on {trees} trees, {combined} combined forests ({scaled} scaled checks)"
 
 
 def _check_scaled_forest(w, h: QRatio, gamma, scales) -> int:

@@ -19,6 +19,11 @@ kept here too.
 The matrix-element path's r-set sum is kept as the oracle for its transfer-
 matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
 r-fold product of bosonic matrix elements.
+
+Helpers that only the tests use live here too, not in the package: the
+conjugate partition, and the canonical form of a VEV forest without leaf
+indices (`strip_indices`, `forest_canonical`) that groups forests into
+equivalence classes.
 """
 
 from __future__ import annotations
@@ -318,3 +323,23 @@ def combined_forest_debug_lines(w: CombinedForest) -> list[str]:
             f"s{b.slot_right}.leaf={b.leaf_right} h={b.label}"
         )
     return out
+
+
+def conjugate(p) -> tuple:
+    """The conjugate partition (rows and columns swapped)."""
+    if not p:
+        return ()
+    return tuple(sum(1 for a in p if a >= i) for i in range(1, p[0] + 1))
+
+
+def strip_indices(v):
+    """A tree node with its leaf indices forgotten (for equivalence classes)."""
+    if is_leaf(v):
+        return ("L", 0, v[2], v[3])
+    return ("M", v[1], v[2], v[3], strip_indices(v[4]), strip_indices(v[5]))
+
+
+def forest_canonical(forest: VevForest) -> tuple:
+    """Canonical serialization without leaf indices; trees sorted, L/R order
+    kept (it is labeled by the sign split, so it is structural)."""
+    return tuple(sorted(strip_indices(t) for t in forest))

@@ -8,7 +8,8 @@ from gvexact.characters import (
     check_row_orthogonality,
     mn_character,
 )
-from gvexact.partitions import conjugate, enumerate_partitions, weight, z_factor
+from gvexact.partitions import enumerate_partitions, weight, z_factor
+from oracles import conjugate
 
 
 def hook_dimension(lam):

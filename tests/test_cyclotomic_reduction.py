@@ -141,6 +141,11 @@ def test_zero_numerator():
     zs = DegreeSeries(2, 2, weighted=True)
     zs.set_numerator((1, 1), QLaurent.zero())
     assert zs.get((1, 1)).is_zero()
+    # a zero overwrites a stored numerator and its reduced ratio
+    zs.set_numerator((1, 1), QLaurent.one())
+    assert not zs.get((1, 1)).is_zero()
+    zs.set_numerator((1, 1), QLaurent.zero())
+    assert not zs.numerators and not zs.coefficients and zs.get((1, 1)).is_zero()
 
 
 def test_negative_exponents_fold_modulo_j():

@@ -10,12 +10,10 @@ from gvexact.graph_engine import (
     amplitude_A,
     amplitude_B,
     amplitude_H,
-    amplitude_tree,
     connected_trees_for,
     count_components,
     edge_map,
     enumerate_combined_forests,
-    forest_canonical,
     forests_for,
     g_k_of_w,
     generate_vev_forests,
@@ -30,6 +28,7 @@ from gvexact.graph_engine import (
 from gvexact.partitions import RSet, enumerate_partitions
 from gvexact.qalgebra import QRatio, qnum, t_k_qratio, to_t_poly, try_to_t_poly
 from gvexact.schur_vertex import matrix_element_char, vev_fock
+from oracles import forest_canonical
 
 ONE = QRatio.one()
 T = t_k_qratio(1)

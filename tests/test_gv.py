@@ -11,7 +11,7 @@ from gvexact.gv import (
     mobius,
     mobius_sum,
 )
-from gvexact.qalgebra import QLaurent, QRatio, RPoly, t_k_qratio
+from gvexact.qalgebra import QRatio, RPoly, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
 from oracles import g_of_d, integrality_report_oracle
 
@@ -144,19 +144,19 @@ def test_report_matches_ratio_oracle(gamma, cap, degrees):
         assert [got[k] for k in keys] == [want[k] for k in keys], d
 
 
-def _z_with(degree, value):
+def _z_with(degree, numerator):
     z = DegreeSeries(2, sum(degree))
     z.constant = QRatio.one()
-    z.set(degree, value)
+    z.set_numerator(degree, numerator)  # Z_d = numerator / D_d
     return z
 
 
 def test_non_integral_verdicts():
     # Z_(2,0) = 1/[2]^2: t*G_(2,0) = [1]^2/[2]^2 is no Laurent polynomial,
-    # so the exact division by D_(2,0) fails
-    not_laurent = _z_with((2, 0), QRatio(QLaurent.one(), t_k_qratio(2).num)).log()
+    # so the exact division by D_(2,0) fails; Z_(2,0) D_(2,0) = [1]^2
+    not_laurent = _z_with((2, 0), T.num).log()
     # Z_(1,0) = x: t*G_(1,0) = x [1]^2 is not invariant under q -> 1/q
-    not_symmetric = _z_with((1, 0), QRatio(QLaurent.monomial(1))).log()
+    not_symmetric = _z_with((1, 0), T.num.shifted(1)).log()
     for fs, d in [(not_laurent, (2, 0)), (not_symmetric, (1, 0))]:
         for rep in (integrality_report((0, 0), d, fs),
                     integrality_report_oracle((0, 0), d, fs.get)):
@@ -164,8 +164,9 @@ def test_non_integral_verdicts():
             assert rep.notes.startswith("t*G not in Q[t]")
             assert rep.to_json_obj()["t_times_G"] == []
     # a hand-built free energy F_(1,1) = 1/2 gives t*G = t/2
+    # (FN_(1,1) = |d| F_(1,1) D_(1,1) = [1]^4)
     half = DegreeSeries(2, 2, weighted=True)
-    half.set((1, 1), QRatio.const(Fraction(1, 2)))
+    half.set_numerator((1, 1), T.num * T.num)
     for rep in (integrality_report((0, 0), (1, 1), half),
                 integrality_report_oracle((0, 0), (1, 1), half.get)):
         assert rep.integral is False and rep.g_poly == RPoly([0, Fraction(1, 2)])

@@ -5,7 +5,6 @@ import pytest
 from gvexact.partitions import (
     RSet,
     aut_size,
-    conjugate,
     enumerate_partitions,
     enumerate_rsets,
     kappa,
@@ -16,6 +15,7 @@ from gvexact.partitions import (
     weight,
     z_factor,
 )
+from oracles import conjugate
 
 
 def test_enumeration_basics():

@@ -440,6 +440,18 @@ def test_non_cyclotomic_denominator_is_refused(den):
     assert QRatio(QLaurent.zero(), den).is_zero()
 
 
+def test_refusal_builds_no_cyclotomic_above_the_degree():
+    # 3 + x^16 has no cyclotomic factor, so the trial runs j up to 2 * 16^2;
+    # only the Phi_j of degree phi(j) <= 16, all with j <= 60, are built
+    cyclotomic.cache_clear()
+    with pytest.raises(ValueError):
+        _phi_factors(QLaurent({0: 3, 16: 1}))
+    built = cyclotomic.cache_info().currsize
+    for j in range(1, 61):
+        cyclotomic(j)
+    assert built and cyclotomic.cache_info().currsize == 60
+
+
 def test_phi_factors_exponents():
     # j above the degree 12 of the product: Phi_7, Phi_14 and Phi_18 have degree 6
     assert _phi_factors(cyclotomic(7) * cyclotomic(14)) == ((7, 1), (14, 1))

@@ -1,13 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 from gvexact.gv import PRESETS, integrality_report
-from gvexact.qalgebra import QLaurent, QRatio, t_k_qratio
+from gvexact.qalgebra import QLaurent, QRatio, degree_denominator, t_k_qratio
 from gvexact.series import (
     DegreeSeries,
     build_z_series,
-    degree_denominator,
     degree_vectors,
     downward_closure,
     f_connected,
@@ -73,26 +70,13 @@ def test_log_visits_degrees_where_z_vanishes():
     c = ONE + ONE / T
     z = DegreeSeries(2, 5)
     z.constant = ONE
-    z.set((1, 0), c)
+    z.set_numerator((1, 0), T.num + QLaurent.one())  # c times D_(1,0) = [1]^2
     f = z.log()
     expect, power = {}, ONE
     for k in range(1, 6):
         power = power * c
         expect[k, 0] = power * QRatio.const((-1) ** (k + 1)) / k
     assert f.coefficients == expect
-
-
-def test_set_rejects_coefficients_outside_the_numerator_lattice():
-    z = DegreeSeries(2, 3)
-    with pytest.raises(ValueError):
-        z.set((1, 0), QRatio.const(Fraction(1, 2)))  # D_(1,0) = [1]^2 keeps the 1/2
-    with pytest.raises(ValueError):
-        z.set((1, 1), QRatio(QLaurent.one(), t_k_qratio(3).num))  # [3]^2 divides no D_(1,1)
-    assert not z.coefficients and not z.numerators
-    z.set((2, 0), QRatio(QLaurent.one(), T.num))  # D_(2,0) = [1]^2 [2]^2
-    assert z.numerators[(2, 0)] * T.num == degree_denominator((2, 0))
-    z.set((2, 0), QRatio.zero())
-    assert not z.coefficients and not z.numerators
 
 
 def log_oracle(z: DegreeSeries) -> dict:

@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from gvexact import verify
+from gvexact import cli, verify
 from gvexact.qalgebra import NoSuchDecomposition
 from gvexact.verify import SUITES, run_suites
 
@@ -35,3 +37,10 @@ def test_crashing_suite_is_a_failure(monkeypatch):
         "q-lemmas", False, "NoSuchDecomposition: modular remainder is not a constant"
     )
     assert results[1][:2] == ("rset-sanity", True)
+
+
+def test_verify_runs_the_scaled_forest_checks(capsys):
+    assert cli.main(["verify", "--suite", "pole-structure"]) == 0
+    line = capsys.readouterr().out
+    assert line.startswith("pole-structure: PASS")
+    assert int(re.search(r"\((\d+) scaled checks\)", line).group(1)) > 0
