@@ -13,9 +13,9 @@ Every amplitude is a constant times a product of q-numbers [k]^(+-1) over
 merge vertices, leaves, roots and bridges.  It is built as the exponent of
 each [k], collected in one walk, and reduced over the cyclotomic factors of
 the [k] (`qalgebra.qnum_ratio`), so no amplitude factors a denominator.  The
-sums over forests and over divisors (`g_k_of_w`) are QRatio sums, which
-reduce over the cyclotomic factors of their denominators too; nothing here
-takes a polynomial gcd.
+sums over forests (of `amplitude_counts`) and over divisors (`g_k_of_w`) add
+exponent vectors over one cyclotomic denominator and reduce once
+(`qalgebra.qnum_sum`); nothing here takes a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from gvexact.gv import mobius_sum
+from gvexact.gv import divisors, mobius
 from gvexact.partitions import Partition, RSet, union
-from gvexact.qalgebra import QRatio, pole_extract, qnum_ratio
+from gvexact.qalgebra import QRatio, pole_extract, qnum_ratio, qnum_sum
 
 # A node is a nested tuple:
 #   ("L", index, c, n)                      original operator (a leaf)
@@ -315,11 +315,12 @@ def scale_forest(w: CombinedForest, k: int) -> CombinedForest:
 
 def amplitude_H(w: CombinedForest) -> QRatio:
     """(-1)^(L1+L2) prod_T B(T) prod_b [h(b)]^2 with L1 = l(mu)+l(nu) and
-    L2 = gamma . degree.
+    L2 = gamma . degree, reduced over cyclotomic factors by `qnum_ratio`."""
+    return qnum_ratio(*amplitude_counts(w))
 
-    One walk over the trees collects the constant and the exponent of each
-    q-number; `qnum_ratio` reduces the product over cyclotomic factors, so
-    no polynomial gcd runs."""
+
+def amplitude_counts(w: CombinedForest) -> tuple[int, dict[int, int]]:
+    """H(W) = const prod_k [k]^counts[k] as (const, counts), from one walk over the trees."""
     lm, ln, _ = w.l_counts()
     l2 = sum(g * d for g, d in zip(w.gamma, w.rset.degree()))
     const = -1 if (lm + ln + l2) % 2 else 1
@@ -329,7 +330,7 @@ def amplitude_H(w: CombinedForest) -> QRatio:
             const *= _tree_factors(t, counts, True)
     for b in w.bridges:
         counts[b.label] = counts.get(b.label, 0) + 2
-    return qnum_ratio(const, counts)
+    return const, counts
 
 
 def _lambda_leaf_positions(
@@ -405,10 +406,20 @@ def enumerate_combined_forests(
 
 def g_k_of_w(w: CombinedForest, k: int) -> QRatio:
     """sum over k'|k of mobius(k/k') k'^(-l(mu)-l(nu)-l(lam)+1)
-    H(W_(k')) with q -> q^(k/k'); k >= 1, else ValueError."""
+    H(W_(k')) with q -> q^(k/k'); k >= 1, else ValueError.
+
+    q -> q^m sends [j] to [jm], so each divisor's term is the exponent
+    vector of H(W_(k')) with every label times m = k/k', and one `qnum_sum`
+    adds them."""
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
-    return mobius_sum(k, lambda kp: amplitude_H(w.scaled(kp)) * Fraction(1, kp**expo))
+    terms = []
+    for kp in divisors(k):
+        m = k // kp
+        if mu := mobius(m):
+            const, counts = amplitude_counts(w.scaled(kp))
+            terms.append((Fraction(mu * const, kp**expo), {j * m: e for j, e in counts.items()}))
+    return qnum_sum(terms)
 
 
 # ---------------------------------------------------------------------------

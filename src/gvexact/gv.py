@@ -56,17 +56,6 @@ def divisors(n: int) -> list[int]:
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
-def mobius_sum(k: int, term) -> QRatio:
-    """sum over k'|k of mobius(k/k') term(k') with q -> q^(k/k'); k >= 1."""
-    out = QRatio.zero()
-    for kp in divisors(k):
-        mu = mobius(k // kp)
-        if mu:
-            t = term(kp).substitute_power(k // kp)
-            out = out + t if mu > 0 else out - t
-    return out
-
-
 @dataclass
 class GvReport:
     gamma: tuple[int, ...]

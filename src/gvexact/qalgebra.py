@@ -118,6 +118,9 @@ class QLaurent:
         a, b = self.coeffs, other.coeffs
         if len(a) > len(b):
             a, b = b, a
+        if len(a) == 1:  # a monomial: the exponents stay distinct, the products nonzero
+            ((e1, v1),) = a.items()
+            return _laurent({e1 + e2: v1 * v2 for e2, v2 in b.items()})
         c: dict[int, int] = {}
         for e1, v1 in a.items():
             for e2, v2 in b.items():
@@ -235,53 +238,70 @@ def _cyclotomic_indices(k: int) -> tuple[int, ...]:
 
 
 def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "QRatio":
-    """const * num * prod_k [k]^counts[k] as a canonical QRatio, with no gcd;
-    num is an integer Laurent polynomial, 1 when left out.
+    """const * num * prod_k [k]^counts[k] as a canonical QRatio: the one-term `qnum_sum`."""
+    return qnum_sum(((const, counts),), num)
 
-    [k] = x^-k prod_{j | 2k} Phi_j(x) and [-k] = -[k].  The Phi_j are monic,
-    primitive, irreducible over Q and pairwise coprime, so the product is
-    reduced over its cyclotomic factors alone: the exponents of each Phi_j
-    are added up, positive ones go to the numerator, and num is divided once
-    by the highest powers of the Phi_j left in the denominator that divide
-    it (`_common_phis`).  What remains of num then shares no factor with the
-    denominator.  With num left out, as for the graph amplitudes, nothing is
-    trial-divided.  [0] with a positive exponent gives 0; with a negative
-    one it is a ZeroDivisionError."""
-    c = Fraction(const)
-    zero = not c or (num is not None and num.is_zero())
-    phis: dict[int, int] = {}
-    shift = 0
-    for k, e in counts.items():
-        if not e:
-            continue
-        if k == 0:
-            if e < 0:
-                raise ZeroDivisionError("q-number [0] in a denominator")
-            zero = True
-            continue
-        if k < 0:
-            k = -k
-            if e % 2:
-                c = -c
-        shift -= k * e
-        for j in _cyclotomic_indices(k):
-            phis[j] = phis.get(j, 0) + e
-    if zero:
-        return QRatio.zero()
-    if num is None:
-        num = QLaurent.monomial(shift, c.numerator)
+
+def qnum_sum(terms, num: QLaurent | None = None) -> "QRatio":
+    """num * sum over (const, counts) of const * prod_k [k]^counts[k] as a
+    canonical QRatio, with no gcd; num, an integer Laurent polynomial, is 1 if left out.
+
+    [k] = x^-k prod_{j | 2k} Phi_j(x) and [-k] = -[k], so a term is c x^s prod Phi_j^e_j,
+    and the terms add up as integers over lcm(den c) prod Phi_j^(-min e_j).  The Phi_j are
+    monic, primitive, irreducible and pairwise coprime, so the sum is reduced once, by the
+    highest powers of the Phi_j left in the denominator that divide it (`_common_phis`).
+    [0] with a positive exponent makes a term 0; in a denominator it is a ZeroDivisionError."""
+    walked = []
+    for const, counts in terms:
+        c = Fraction(const)
+        phis: dict[int, int] = {}
+        shift = 0
+        for k, e in counts.items():
+            if not e:
+                continue
+            if k == 0:
+                if e < 0:
+                    raise ZeroDivisionError("q-number [0] in a denominator")
+                c = Fraction(0)
+                continue
+            if k < 0:
+                k = -k
+                if e % 2:
+                    c = -c
+            shift -= k * e
+            for j in _cyclotomic_indices(k):
+                phis[j] = phis.get(j, 0) + e
+        if c:
+            walked.append((c, shift, phis))
+    if len(walked) == 1:  # every qnum_ratio: c x^s over its own Phi_j, nothing to add
+        c, shift, phis = walked[0]
+        low, lcm = dict(sorted(phis.items())), c.denominator
+        total = _laurent({shift: c.numerator})
     else:
-        common = _common_phis(num, tuple((j, -e) for j, e in sorted(phis.items()) if e < 0))
+        low = {j: min(p.get(j, 0) for _, _, p in walked)
+               for j in sorted(set().union(*(p for _, _, p in walked)))}
+        lcm = math.lcm(*(c.denominator for c, _, _ in walked))
+        acc: dict[int, int] = {}
+        for c, shift, phis in walked:
+            n = c.numerator * (lcm // c.denominator)
+            excess = tuple((j, phis.get(j, 0) - e) for j, e in low.items()
+                           if phis.get(j, 0) > e)
+            for e, v in _phi_power(excess).coeffs.items():
+                acc[e + shift] = acc.get(e + shift, 0) + n * v
+        total = _laurent({e: v for e, v in acc.items() if v})
+    if num is not None:
+        total = total * num
+    if len(total.coeffs) > 1:
+        common = _common_phis(total, tuple((j, -e) for j, e in low.items() if e < 0))
         if common:
-            num = num.divide_exact(_phi_power(common))
+            total = total.divide_exact(_phi_power(common))
             for j, k in common:
-                phis[j] += k
-        num = _laurent({e + shift: v * c.numerator for e, v in num.coeffs.items()})
-    up = tuple((j, e) for j, e in sorted(phis.items()) if e > 0)
-    down = tuple((j, -e) for j, e in sorted(phis.items()) if e < 0)
+                low[j] += k
+    up = tuple((j, e) for j, e in low.items() if e > 0)
     if up:
-        num = num * _phi_power(up)
-    return QRatio._coprime(num, _phi_power(down) * QLaurent.const(c.denominator))
+        total = total * _phi_power(up)
+    down = tuple((j, -e) for j, e in low.items() if e < 0)
+    return QRatio._coprime(total, _phi_power(down) * QLaurent.const(lcm))
 
 
 @lru_cache(maxsize=None)
@@ -476,7 +496,7 @@ class QRatio:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = QRatio.const(other)
+            raise TypeError("compare a QRatio with a QRatio, not with a number")
         return (
             isinstance(other, QRatio)
             and self.num == other.num
@@ -493,11 +513,7 @@ class QRatio:
 
     @staticmethod
     def _coerce(v) -> "QRatio":
-        if isinstance(v, QRatio):
-            return v
-        if isinstance(v, QLaurent):
-            return QRatio(v)
-        return QRatio.const(v)
+        return v if isinstance(v, QRatio) else QRatio.const(v)
 
     def __add__(self, other) -> "QRatio":
         o = QRatio._coerce(other)
@@ -515,9 +531,6 @@ class QRatio:
 
     def __sub__(self, other) -> "QRatio":
         return self + (-QRatio._coerce(other))
-
-    def __rsub__(self, other) -> "QRatio":
-        return QRatio._coerce(other) + (-self)
 
     # Both operands are reduced, so a monomial factor (a unit, constants
     # included) cannot create a common factor: those products skip the fold
@@ -573,7 +586,7 @@ class RPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]  # not rebuilt
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -589,7 +602,7 @@ class RPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = RPoly([other])
+            raise TypeError("compare an RPoly with an RPoly, not with a number")
         return isinstance(other, RPoly) and self.coeffs == other.coeffs
 
     def __hash__(self):

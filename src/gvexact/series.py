@@ -10,11 +10,13 @@ denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd.  A
 series keeps only the numerators and reduces a coefficient to a QRatio the
 first time it is read.  D_d is a product of cyclotomic polynomials Phi_j, so
 a coefficient is reduced over the cyclotomic factors of its denominator
-(`qalgebra.qnum_ratio`), again with no polynomial gcd; so is the graphs
-path's QRatio sum over combined forests.  The matrix path is the trace of a
-cyclic product of transfer matrices over the intermediate Fock states, one
-matrix per slot, whose entries are memoized per slot and shared across
-degrees and gammas.
+(`qalgebra.qnum_ratio`), again with no polynomial gcd.  The graphs path
+adds the q-number exponent vectors of every combined forest's amplitude
+over one common cyclotomic denominator and reduces the sum once
+(`qalgebra.qnum_sum`), with no QRatio arithmetic.  The matrix path is the
+trace of a cyclic product of transfer matrices over the intermediate Fock
+states, one matrix per slot, whose entries are memoized per slot and shared
+across degrees and gammas.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from gvexact.graph_engine import amplitude_H, enumerate_combined_forests
+# amplitude_H is unused here but stays importable: perfbench/worker.py's traced runs wrap it
+from gvexact.graph_engine import amplitude_H  # noqa: F401
+from gvexact.graph_engine import amplitude_counts, enumerate_combined_forests
 from gvexact.partitions import (
     Partition,
     enumerate_partitions,
@@ -41,6 +45,7 @@ from gvexact.qalgebra import (
     qbinomial,
     qfactorial_over,
     qnum_ratio,
+    qnum_sum,
 )
 from gvexact.schur_vertex import matrix_element_char, w_numerator
 
@@ -200,18 +205,13 @@ def z_coefficient_graphs(
     With connected_only this is the free-energy coefficient, otherwise the
     partition-function coefficient.  Verification-grade (exponential cost).
     """
-    r = len(gamma)
-    total = QRatio.zero()
-    for rs in enumerate_rsets(r, d):
-        zden = 1
-        for tup in (rs.mu, rs.nu, rs.lam):
-            for p in tup:
-                zden *= z_factor(p)
-        inner = QRatio.zero()
+    terms = []
+    for rs in enumerate_rsets(len(gamma), d):
+        zden = math.prod(z_factor(p) for tup in (rs.mu, rs.nu, rs.lam) for p in tup)
         for w in enumerate_combined_forests(rs, gamma, connected_only=connected_only):
-            inner = inner + amplitude_H(w)
-        total = total + inner * Fraction(1, zden)
-    return total
+            const, counts = amplitude_counts(w)
+            terms.append((Fraction(const, zden), counts))
+    return qnum_sum(terms)
 
 
 def f_connected(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:

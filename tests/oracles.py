@@ -16,6 +16,11 @@ exponent vectors.  The Schur value by the hook-length formula and the
 line-based debug serialization of forests, which the golden files pin, are
 kept here too.
 
+The sums of amplitudes are kept the same way: the graphs path's sum over
+combined forests and the Mobius combination g_k(W) over divisors (with the
+`mobius_sum` it used), each as a QRatio sum of reduced H(W), against the
+engine's one reduction over a common cyclotomic denominator.
+
 The matrix-element path's r-set sum is kept as the oracle for its transfer-
 matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
 r-fold product of bosonic matrix elements.
@@ -35,6 +40,8 @@ from gvexact.characters import mn_character
 from gvexact.graph_engine import (
     CombinedForest,
     VevForest,
+    amplitude_H,
+    enumerate_combined_forests,
     is_leaf,
     node_c,
     node_children,
@@ -252,6 +259,39 @@ def amplitude_H_oracle(w) -> QRatio:
     for b in w.bridges:
         out = out * QRatio(qnum(b.label) * qnum(b.label))
     return out
+
+
+def mobius_sum(k: int, term) -> QRatio:
+    """sum over k'|k of mobius(k/k') term(k') with q -> q^(k/k'); k >= 1."""
+    out = QRatio.zero()
+    for kp in divisors(k):
+        mu = mobius(k // kp)
+        if mu:
+            t = term(kp).substitute_power(k // kp)
+            out = out + t if mu > 0 else out - t
+    return out
+
+
+def g_k_of_w_oracle(w, k: int) -> QRatio:
+    """g_k(W) as a QRatio sum over the divisors of reduced H(W_(k'))(q^(k/k'))."""
+    lm, ln, ll = w.l_counts()
+    expo = lm + ln + ll - 1
+    return mobius_sum(k, lambda kp: amplitude_H(w.scaled(kp)) * Fraction(1, kp**expo))
+
+
+def z_coefficient_graphs_oracle(gamma, d, connected_only: bool = False) -> QRatio:
+    """sum over r-sets of (1/z) sum_W H(W) as a QRatio sum of reduced H(W)."""
+    total = QRatio.zero()
+    for rs in enumerate_rsets(len(gamma), d):
+        zden = 1
+        for tup in (rs.mu, rs.nu, rs.lam):
+            for p in tup:
+                zden *= z_factor(p)
+        inner = QRatio.zero()
+        for w in enumerate_combined_forests(rs, gamma, connected_only=connected_only):
+            inner = inner + amplitude_H(w)
+        total = total + inner * Fraction(1, zden)
+    return total
 
 
 def z_coefficient_matrix_rsets(gamma, d) -> QRatio:

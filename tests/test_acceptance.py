@@ -8,7 +8,6 @@ import itertools
 import time
 from fractions import Fraction
 
-from gvexact.characters import mn_character
 from gvexact.graph_engine import (
     amplitude_B,
     amplitude_H,
@@ -18,7 +17,6 @@ from gvexact.graph_engine import (
     enumerate_combined_forests,
     graph_word,
     scale_forest,
-    tree_leaves,
     tree_pole_data,
     vev_graphs,
 )

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from gvexact.graph_engine import (
-    Bridge,
     CombinedForest,
     amplitude_A,
     amplitude_B,
@@ -20,15 +19,14 @@ from gvexact.graph_engine import (
     graph_word,
     scale_forest,
     scale_tree_down,
-    tree_leaves,
     tree_pole_data,
-    tree_type,
     vev_graphs,
 )
-from gvexact.partitions import RSet, enumerate_partitions
+from gvexact.partitions import RSet, enumerate_partitions, enumerate_rsets
 from gvexact.qalgebra import QRatio, qnum, t_k_qratio, to_t_poly, try_to_t_poly
 from gvexact.schur_vertex import matrix_element_char, vev_fock
-from oracles import forest_canonical
+from gvexact.series import degree_vectors
+from oracles import forest_canonical, g_k_of_w_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -176,6 +174,17 @@ def test_g_k_pole_structure():
         gk = g_k_of_w(w, k)
         assert try_to_t_poly(gk) is not None  # pole free
     assert g_k_of_w(w, 1) == amplitude_H(w)
+
+
+@pytest.mark.parametrize("gamma", [(1, 1), (-1, -1), (0, -2), (1, 1, 1)])
+def test_g_k_matches_the_ratio_sum_over_divisors(gamma):
+    # one reduction over the scaled exponent vectors == a QRatio sum of H(W_(k'))(q^(k/k'))
+    r = len(gamma)
+    for d in degree_vectors(r, 3):
+        for rs in enumerate_rsets(r, d):
+            for w in enumerate_combined_forests(rs, gamma, connected_only=True):
+                for k in range(1, 7):
+                    assert g_k_of_w(w, k) == g_k_of_w_oracle(w, k), (rs, k)
 
 
 def test_g_k_needs_positive_k():

@@ -3,17 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from gvexact.gv import (
-    GvReport,
-    PRESETS,
-    divisors,
-    integrality_report,
-    mobius,
-    mobius_sum,
-)
+from gvexact.gv import PRESETS, divisors, integrality_report, mobius
 from gvexact.qalgebra import QRatio, RPoly, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
-from oracles import g_of_d, integrality_report_oracle
+from oracles import g_of_d, integrality_report_oracle, mobius_sum
 
 T = t_k_qratio(1)
 

@@ -22,6 +22,7 @@ from gvexact.qalgebra import (
     qnum,
     qnum_product,
     qnum_ratio,
+    qnum_sum,
     t_k_in_t,
     t_k_qratio,
     to_t_poly,
@@ -373,6 +374,58 @@ def test_qnum_ratio_zero_branches():
         qnum_ratio(1, {0: -1, 2: 1})
     with pytest.raises(ZeroDivisionError):
         QRatio(QLaurent.one(), qnum(0))
+
+
+qnum_terms = st.tuples(
+    st.lists(
+        st.tuples(
+            st.fractions(max_denominator=12),
+            st.dictionaries(st.integers(-9, 9), st.integers(-3, 3), max_size=4)
+            .filter(lambda counts: counts.get(0, 0) >= 0),
+        ),
+        max_size=3,
+    ),
+    # c/[a] - m c/[am] vanishes at x = 1: the sum shares Phi_1 with its denominator
+    st.lists(
+        st.builds(lambda a, m, c: [(c, {a: -1}), (-m * c, {a * m: -1})],
+                  st.integers(1, 4), st.integers(1, 4), st.integers(-3, 3).filter(bool)),
+        max_size=1,
+    ),
+).map(lambda t: t[0] + sum(t[1], []))
+
+
+@PROPERTY
+@given(qnum_terms, st.one_of(st.none(), laurents))
+def test_qnum_sum_equals_summed_qnum_ratios(terms, num):
+    # every term may hold negative k and [0] with a positive exponent
+    expect = QRatio.zero()
+    for c, counts in terms:
+        expect = expect + qnum_ratio(c, counts, num)
+    got = qnum_sum(terms, num)
+    assert got.num == expect.num and got.den == expect.den
+    assert_normalized(got)
+
+
+def test_qnum_sum_edge_cases():
+    assert qnum_sum([]).is_zero()
+    assert qnum_sum([(2, {3: -1, -2: 1}), (2, {3: -1, 2: 1})]).is_zero()  # [-2] = -[2]
+    assert qnum_sum([(Fraction(1, 2), {2: -2}), (Fraction(-1, 2), {2: -2})]).is_zero()
+    assert qnum_sum([(1, {0: 2, 1: -1}), (3, {1: 1})]) == qnum_ratio(3, {1: 1})
+    assert qnum_sum([(1, {2: -1}), (-1, {-2: -1})]) == qnum_ratio(2, {2: -1})
+    # 1/[2] - 2/[4] = [1]^2/[4]: the sum is reduced by Phi_1 Phi_2
+    assert qnum_sum([(1, {2: -1}), (-2, {4: -1})]) == qnum_ratio(1, {1: 2, 4: -1})
+    with pytest.raises(ZeroDivisionError):
+        qnum_sum([(1, {1: 1}), (0, {0: -1})])
+
+
+def test_equality_with_a_number_is_a_type_error():
+    for value in (QRatio.one(), QRatio.zero(), RPoly([1]), RPoly()):
+        for number in (1, 0, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                value == number
+            with pytest.raises(TypeError):
+                number != value
+    assert QRatio.one() != "1" and RPoly([1]) != (1,)
 
 
 def test_t_k_table_is_integer():

@@ -4,7 +4,7 @@ from functools import lru_cache
 
 import pytest
 
-from gvexact.partitions import enumerate_partitions, kappa, weight, z_factor, union
+from gvexact.partitions import enumerate_partitions, kappa, z_factor, union
 from gvexact.qalgebra import QLaurent, QRatio, qnum, qnum_product, t_k_qratio
 from gvexact.schur_vertex import (
     W_vertex,

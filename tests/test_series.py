@@ -12,6 +12,7 @@ from gvexact.series import (
     z_coefficient_graphs,
     z_coefficient_matrix,
 )
+from oracles import z_coefficient_graphs_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -138,6 +139,17 @@ def test_log_equals_connected_forests():
         fs = zs.log()
         for d in degree_vectors(r, 3):
             assert f_connected(gamma, d) == fs.get(d), (gamma, d)
+
+
+@pytest.mark.parametrize("gamma", [(1, 1), (-1, -1), (0, -2)])
+def test_connected_forest_sum_matches_the_ratio_sum(gamma):
+    # one reduction over every forest's exponent vector == a QRatio sum of reduced H(W)
+    nonzero = 0
+    for d in degree_vectors(2, 4):
+        got = f_connected(gamma, d)
+        assert got == z_coefficient_graphs_oracle(gamma, d, connected_only=True), d
+        nonzero += not got.is_zero()
+    assert nonzero > 5
 
 
 def test_cyclic_symmetry_for_constant_gamma():
