@@ -24,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from gvexact.gv import divisors, mobius
 from gvexact.partitions import Partition, RSet, union
@@ -62,10 +62,16 @@ def node_children(v: Node) -> tuple[Node, Node]:
 
 def tree_leaves(root: Node) -> list[Node]:
     """Leaves in left-to-right order."""
-    if is_leaf(root):
-        return [root]
-    l, r = node_children(root)
-    return tree_leaves(l) + tree_leaves(r)
+    out = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        if v[0] == "L":
+            out.append(v)
+        else:
+            stack.append(v[5])  # the right child waits below the left one
+            stack.append(v[4])
+    return out
 
 
 def zeta(v: Node) -> int:
@@ -260,34 +266,31 @@ class CombinedForest:
                 out.append((i, j, t))
         return out
 
-    def _leaf_tree_index(self) -> dict[tuple[int, int], tuple[int, int]]:
-        idx = {}
-        for i, j, t in self.trees():
-            for lf in tree_leaves(t):
-                idx[(i, lf[1])] = (i, j)
-        return idx
+    @cached_property
+    def _contracted(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]], int]:
+        """(vertices, edges, component count) of the contracted graph, built
+        once per forest."""
+        trees = self.trees()
+        verts = [(i, j) for i, j, _ in trees]
+        leaf_tree = {(i, lf[1]): (i, j) for i, j, t in trees for lf in tree_leaves(t)}
+        edges = [(leaf_tree[(b.slot_left, b.leaf_left)], leaf_tree[(b.slot_right, b.leaf_right)])
+                 for b in self.bridges]
+        return verts, edges, count_components(verts, edges)
 
     def contracted_graph(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(vertices, edges) of the graph with every VEV tree contracted to a
         vertex; edges are bridge-induced and may repeat (multigraph)."""
-        verts = [(i, j) for i, j, _ in self.trees()]
-        leaf_tree = self._leaf_tree_index()
-        edges = []
-        for b in self.bridges:
-            u = leaf_tree[(b.slot_left, b.leaf_left)]
-            v = leaf_tree[(b.slot_right, b.leaf_right)]
-            edges.append((u, v))
-        return verts, edges
+        return self._contracted[:2]
 
     def cycle_rank(self) -> int:
-        verts, edges = self.contracted_graph()
-        return len(edges) - len(verts) + self.component_count()
+        verts, edges, components = self._contracted
+        return len(edges) - len(verts) + components
 
     def component_count(self) -> int:
-        return count_components(*self.contracted_graph())
+        return self._contracted[2]
 
     def is_connected(self) -> bool:
-        return self.component_count() == 1
+        return self._contracted[2] == 1
 
     def l_counts(self) -> tuple[int, int, int]:
         lm = sum(len(p) for p in self.rset.mu)

@@ -18,7 +18,6 @@ from gvexact.qalgebra import (
     QRatio,
     RPoly,
     degree_denominator,
-    format_fraction,
     qnum,
     to_t_poly,
 )
@@ -67,17 +66,18 @@ class GvReport:
     paths_agree: bool = True
 
     def to_json_obj(self) -> dict:
-        tG = []
-        if self.g_poly is not None:
-            tG = [format_fraction(c) for c in self.g_poly.coeffs]
         return {
             "gamma": list(self.gamma),
             "degree": list(self.degree),
-            "t_times_G": tG,
+            # str of a Fraction is "n" or "n/m", in lowest terms
+            "t_times_G": [] if self.g_poly is None else [str(c) for c in self.g_poly.coeffs],
             "integral": self.integral,
             "gv": [{"g": g, "n": str(n)} for g, n in self.gv_numbers],
             "paths_agree": self.paths_agree,
         }
+
+
+T_ONE = qnum(1) * qnum(1)  # t = [1]^2
 
 
 def _mobius_cofactor(d: tuple[int, ...], m: int) -> QLaurent:
@@ -108,15 +108,15 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
         raise ValueError("degree must be nonzero")
     if not fs.weighted:
         raise ValueError("integrality_report needs the free energy from DegreeSeries.log")
-    total = QLaurent.zero()
-    for m in divisors(math.gcd(*d)):
-        mu = mobius(m)
-        if mu:
-            fn = fs.numerator(tuple(x // m for x in d)).substitute_power(m)
-            term = fn * _mobius_cofactor(d, m)
+    # m = 1 is the first divisor, with mobius 1 and a cofactor of 1
+    total = fs.numerator(d)
+    for m in divisors(math.gcd(*d))[1:]:
+        if mu := mobius(m):
+            term = fs.numerator(tuple(x // m for x in d)).substitute_power(m)
+            term = term * _mobius_cofactor(d, m)
             total = total + term if mu > 0 else total - term
     try:
-        tg = (total * qnum(1) * qnum(1)).divide_exact(degree_denominator(d))
+        tg = (total * T_ONE).divide_exact(degree_denominator(d))
     except ValueError:
         return GvReport(gamma, d, None, False,
                         notes="t*G not in Q[t]: nontrivial denominator after reduction")
@@ -126,11 +126,9 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
         return GvReport(gamma, d, None, False, notes=f"t*G not in Q[t]: {exc}")
     integral = poly.is_integral()
     gv_numbers: list[tuple[int, int]] = []
-    if integral:
-        for gi in range(poly.degree() + 1):
-            c = poly[gi]
+    if integral:  # the numerators are the coefficients
+        for gi, c in enumerate(poly.nums):
             if c:
-                n = int(c) * (-1 if gi % 2 == 0 else 1)  # (-1)^(g-1)
-                gv_numbers.append((gi, n))
+                gv_numbers.append((gi, -c if gi % 2 == 0 else c))  # (-1)^(g-1)
     notes = "" if integral else "t*G has a non-integer coefficient"
     return GvReport(gamma, d, poly, integral, gv_numbers, notes)

@@ -4,7 +4,8 @@ symmetrization maps onto polynomials in t = [1]^2 and y = [1/2]^2.
 Exponents are stored as integers counting units of 1/2 (so the q-power k
 lives at exponent 2k).  Laurent polynomials have integer coefficients; every
 rational value, constants included, is a QRatio of two of them, and the t-
-and y-images are polynomials over Fractions.  No floating point ever enters.
+and y-images are polynomials over Q, kept as integer numerators over one
+denominator (RPoly).  No floating point ever enters.
 Ratios are reduced over the cyclotomic factors Phi_j of their denominators,
 with no polynomial gcd.  Pole extraction works by exact polynomial remainder
 arithmetic modulo t_k, never by evaluating at roots of unity.
@@ -300,8 +301,8 @@ def qnum_sum(terms, num: QLaurent | None = None) -> "QRatio":
     up = tuple((j, e) for j, e in low.items() if e > 0)
     if up:
         total = total * _phi_power(up)
-    down = tuple((j, -e) for j, e in low.items() if e < 0)
-    return QRatio._coprime(total, _phi_power(down) * QLaurent.const(lcm))
+    den = _phi_power(tuple((j, -e) for j, e in low.items() if e < 0))
+    return QRatio._coprime(total, den * QLaurent.const(lcm) if lcm > 1 else den)
 
 
 @lru_cache(maxsize=None)
@@ -407,8 +408,16 @@ def degree_counts(d: tuple[int, ...]) -> dict[int, int]:
 def degree_denominator(d: tuple[int, ...]) -> QLaurent:
     """D_d = prod_i [d_i]!^2: Z_d D_d and |d| F_d D_d are integer Laurent
     polynomials.  Its leading coefficient is 1."""
+    return _shape_denominator(tuple(sorted(di for di in d if di)))
+
+
+@lru_cache(maxsize=None)
+def _shape_denominator(shape: tuple[int, ...]) -> QLaurent:
+    """D_d for the sorted nonzero parts of d.  Cached on that shape, not on d:
+    the degrees of a run share few shapes (the 403 degrees of a sweep-wide
+    sample have 11)."""
     out = QLaurent.one()
-    for di in d:
+    for di in shape:
         out = out * qfactorial(di) * qfactorial(di)
     return out
 
@@ -454,7 +463,9 @@ class QRatio:
             self.den = QLaurent.one()
             return
         dv = den.min_exp()
-        nc, dc = _primitive(num.shifted(-dv).coeffs, den.shifted(-dv).coeffs)
+        if dv:
+            num, den = num.shifted(-dv), den.shifted(-dv)
+        nc, dc = _primitive(num.coeffs, den.coeffs)
         self.num = _laurent(nc)
         self.den = _laurent(dc)
 
@@ -577,43 +588,57 @@ class QRatio:
 
 
 class RPoly:
-    """Dense univariate polynomial over Fractions, trailing zeros trimmed.
+    """Dense univariate polynomial over Q, trailing zeros trimmed, stored as
+    integer numerators `nums` over one positive denominator `den`, reduced
+    (the gcd of den and every numerator is 1; zero is () over 1).
 
     Serves for both the t- and the y-images; the variable is bookkeeping at
-    the call sites.
+    the call sites.  The form is canonical, so == and hash use (nums, den),
+    and `is_integral` is den == 1.  A Fraction is built only when a
+    coefficient is read (`coeffs`, `[]`), as the arithmetic does.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]  # not rebuilt
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    def __init__(self, coeffs=(), den: int = 1):
+        """sum_i coeffs[i] t^i / den for rational coeffs and an integer den > 0."""
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        lcm = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (lcm // c.denominator) for c in cs]
+        while nums and not nums[-1]:
+            nums.pop()
+        den *= lcm
+        g = math.gcd(den, *nums)
+        self.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        self.den = den // g
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else Fraction(0)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             raise TypeError("compare an RPoly with an RPoly, not with a number")
-        return isinstance(other, RPoly) and self.coeffs == other.coeffs
+        return isinstance(other, RPoly) and self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __add__(self, other: "RPoly") -> "RPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
+        n = max(len(self.nums), len(other.nums))
         return RPoly([self[i] + other[i] for i in range(n)])
 
     def __neg__(self) -> "RPoly":
-        return RPoly([-c for c in self.coeffs])
+        return RPoly([-n for n in self.nums], self.den)
 
     def __sub__(self, other: "RPoly") -> "RPoly":
         return self + (-other)
@@ -651,7 +676,7 @@ class RPoly:
         return q
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.den == 1
 
     def constant(self) -> Fraction:
         return self[0]
@@ -694,8 +719,9 @@ def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
     denominator -> polynomial (t or y).
 
     Each pair x^e + x^-e with e = m*step is 2 + t_m, and t_m is t_k_in_t(m)
-    in the target variable (t for step 2, y for step 1).  The integer image
-    of the numerator is divided by the denominator at the end."""
+    in the target variable (t for step 2, y for step 1).  The image is the
+    integer image of the numerator over the (positive) denominator, with no
+    Fraction per coefficient."""
     if not f.is_laurent():
         raise NotSymmetricInT("nontrivial denominator after reduction")
     p = f.num
@@ -711,8 +737,7 @@ def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
             out[0] += 2 * c
             for j, a in enumerate(_t_k_coeffs(e // step)):
                 out[j] += a * c
-    den = f.den.coeffs[0]
-    return RPoly([Fraction(c, den) for c in out])
+    return RPoly(out, f.den.coeffs[0])
 
 
 def to_t_poly(f: QRatio) -> RPoly:
@@ -784,10 +809,6 @@ def pole_extract(f: QRatio, k: int, mode: str = "plain") -> tuple[Fraction, RPol
 # ---------------------------------------------------------------------------
 # Serialization (exact strings; used by the CLI JSON schema)
 # ---------------------------------------------------------------------------
-
-
-def format_fraction(v: Fraction) -> str:
-    return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
 
 
 def format_qlaurent(p: QLaurent) -> str:

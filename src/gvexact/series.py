@@ -15,8 +15,12 @@ adds the q-number exponent vectors of every combined forest's amplitude
 over one common cyclotomic denominator and reduces the sum once
 (`qalgebra.qnum_sum`), with no QRatio arithmetic.  The matrix path is the
 trace of a cyclic product of transfer matrices over the intermediate Fock
-states, one matrix per slot, whose entries are memoized per slot and shared
-across degrees and gammas.
+states, one matrix per slot; the matrices and their entries are memoized per
+slot and shared across degrees and gammas.  What a degree's shape fixes is
+built once per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the
+sorted (d_i, e_i) pairs, and D_d (`qalgebra.degree_denominator`) on the
+sorted nonzero d_i.  The t-images read from these coefficients are integer
+numerators over one denominator (`qalgebra.RPoly`).
 """
 
 from __future__ import annotations
@@ -89,8 +93,8 @@ def z_numerator(gamma: tuple[int, ...], d: tuple[int, ...]) -> QLaurent:
     r = len(gamma)
     total = QLaurent.zero()
     for lams in itertools.product(*(enumerate_partitions(di) for di in d)):
-        term = QLaurent.one()
-        for i in range(r):
+        term = w_numerator(lams[0], lams[1])
+        for i in range(1, r):
             term = term * w_numerator(lams[i], lams[(i + 1) % r])
         total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
     return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
@@ -134,10 +138,12 @@ def _states(cap: int) -> tuple[Partition, ...]:
     return tuple(p for n in range(cap + 1) for p in enumerate_partitions(n))
 
 
+@lru_cache(maxsize=None)
 def transfer_matrix(di: int, a: int, lo: int, hi: int) -> dict:
     """T[lambda][lambda'] for one slot of degree di and framing
     q^(a F2), a = gamma_i + 2: rows |lambda| <= lo, columns |lambda'| <= hi,
-    zero entries left out.  See `transfer_entry`."""
+    zero entries left out.  See `transfer_entry`.  Memoized like its entries,
+    so the dicts are shared: callers read them and never change them."""
     out = {}
     for lam in _states(lo):
         row = {}
@@ -342,17 +348,18 @@ def _subtract_product(acc: dict[int, int], a: QLaurent, b: QLaurent) -> None:
 
 def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:
     """D_d / (D_e D_(d-e)) = prod_i qbinom(d_i, e_i)^2."""
-    out = QLaurent.one()
-    for di, ei in zip(d, e):
-        if 0 < ei < di:
-            out = out * _qbinomial_squared(di, ei)
-    return out
+    return _binomial_squares(tuple(sorted((di, ei) for di, ei in zip(d, e) if 0 < ei < di)))
 
 
 @lru_cache(maxsize=None)
-def _qbinomial_squared(n: int, k: int) -> QLaurent:
-    b = qbinomial(n, k)
-    return b * b
+def _binomial_squares(pairs: tuple[tuple[int, int], ...]) -> QLaurent:
+    """prod qbinom(n, k)^2 over the sorted (n, k) pairs with 0 < k < n.  Cached
+    on the pairs: the (d, e) of the log share few of them."""
+    out = QLaurent.one()
+    for n, k in pairs:
+        b = qbinomial(n, k)
+        out = out * b * b
+    return out
 
 
 def downward_closure(degrees) -> frozenset:

@@ -25,6 +25,11 @@ The matrix-element path's r-set sum is kept as the oracle for its transfer-
 matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
 r-fold product of bosonic matrix elements.
 
+The t- and y-images are kept the same way: `FractionRPoly`, with one
+Fraction per coefficient, and the image and pole extraction built on it,
+against `RPoly`'s integer numerators over one denominator; and D_d as one
+product chain over d, against the engine's D_d cached on the shape of d.
+
 Helpers that only the tests use live here too, not in the package: the
 conjugate partition, and the canonical form of a VEV forest without leaf
 indices (`strip_indices`, `forest_canonical`) that groups forests into
@@ -59,11 +64,14 @@ from gvexact.partitions import (
     z_factor,
 )
 from gvexact.qalgebra import (
+    NoSuchDecomposition,
     NotSymmetricInT,
     QLaurent,
     QRatio,
     _primitive,
+    _t_k_coeffs,
     degree_denominator,
+    qfactorial,
     qfactorial_over,
     qnum,
     qnum_product,
@@ -383,3 +391,134 @@ def forest_canonical(forest: VevForest) -> tuple:
     """Canonical serialization without leaf indices; trees sorted, L/R order
     kept (it is labeled by the sign split, so it is structural)."""
     return tuple(sorted(strip_indices(t) for t in forest))
+
+
+def degree_denominator_chain(d) -> QLaurent:
+    """D_d = prod_i [d_i]!^2 as one product chain over d, in order."""
+    out = QLaurent.one()
+    for di in d:
+        out = out * qfactorial(di) * qfactorial(di)
+    return out
+
+
+class FractionRPoly:
+    """Dense univariate polynomial over Fractions, trailing zeros trimmed:
+    one Fraction per coefficient, the t- and y-image type that `RPoly`'s
+    integer numerators over one denominator replaced."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs=()):
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def __getitem__(self, i: int) -> Fraction:
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FractionRPoly) and self.coeffs == other.coeffs
+
+    def __add__(self, other):
+        n = max(len(self.coeffs), len(other.coeffs))
+        return FractionRPoly([self[i] + other[i] for i in range(n)])
+
+    def __neg__(self):
+        return FractionRPoly([-c for c in self.coeffs])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        return FractionRPoly([c * other for c in self.coeffs])
+
+    def divmod(self, other):
+        if other.is_zero():
+            raise ZeroDivisionError
+        num = list(self.coeffs)
+        d = other.degree()
+        lead = other.coeffs[-1]
+        q = [Fraction(0)] * max(0, len(num) - d)
+        while len(num) - 1 >= d and num:
+            nd = len(num) - 1
+            f = num[-1] / lead
+            q[nd - d] = f
+            for j, b in enumerate(other.coeffs):
+                num[nd - d + j] -= f * b
+            while num and not num[-1]:
+                num.pop()
+        return FractionRPoly(q), FractionRPoly(num)
+
+    def mod(self, other):
+        return self.divmod(other)[1]
+
+    def divide_exact(self, other):
+        q, r = self.divmod(other)
+        if not r.is_zero():
+            raise ValueError("division not exact")
+        return q
+
+    def is_integral(self) -> bool:
+        return all(c.denominator == 1 for c in self.coeffs)
+
+    def constant_only(self):
+        return self[0] if self.degree() <= 0 else None
+
+
+def laurent_to_poly_oracle(f: QRatio, step: int) -> FractionRPoly:
+    """The t-image (step 2) or y-image (step 1) with one Fraction per
+    coefficient: x^e + x^-e with e = m*step is 2 + t_m."""
+    if not f.is_laurent():
+        raise NotSymmetricInT("nontrivial denominator after reduction")
+    p = f.num
+    if not p.is_symmetric():
+        raise NotSymmetricInT("not invariant under q -> 1/q")
+    if any(e % step for e in p.coeffs):
+        raise NotSymmetricInT("exponent parity does not match the target ring")
+    out = [0] * (max(p.coeffs, default=0) // step + 1)
+    for e, c in p.coeffs.items():
+        if e == 0:
+            out[0] += c
+        elif e > 0:
+            out[0] += 2 * c
+            for j, a in enumerate(_t_k_coeffs(e // step)):
+                out[j] += a * c
+    den = f.den.coeffs[0]
+    return FractionRPoly([Fraction(c, den) for c in out])
+
+
+def pole_extract_oracle(f: QRatio, k: int, mode: str = "plain"):
+    """`qalgebra.pole_extract` on FractionRPoly images: (g, remainder)."""
+    prod = f * t_k_qratio(k)
+    tk_t = FractionRPoly(_t_k_coeffs(k))
+    if mode == "plain":
+        try:
+            p = laurent_to_poly_oracle(prod, 2)
+        except NotSymmetricInT as exc:
+            raise NoSuchDecomposition(str(exc)) from exc
+        q, r = p.divmod(tk_t)
+        g = r.constant_only()
+        if g is None:
+            raise NoSuchDecomposition("modular remainder is not a constant")
+        return g, q
+    try:
+        p = laurent_to_poly_oracle(prod, 1)
+    except NotSymmetricInT as exc:
+        raise NoSuchDecomposition(str(exc)) from exc
+    tk_y = laurent_to_poly_oracle(t_k_qratio(k), 1)
+    half_y = laurent_to_poly_oracle(QRatio.one() + t_k_qratio(k // 2) * Fraction(1, 2), 1)
+    rp = p.mod(tk_y)
+    rh = half_y.mod(tk_y)
+    if rh.is_zero():
+        raise NoSuchDecomposition("degenerate half-mode modulus")
+    g = rp.coeffs[-1] / rh.coeffs[-1] if rp.coeffs else Fraction(0)
+    if rh * g != rp:
+        raise NoSuchDecomposition("modular remainder not proportional to 1 + t_{k/2}/2")
+    return g, (p - half_y * g).divide_exact(tk_y)

@@ -163,7 +163,7 @@ def test_non_integral_verdicts():
     for rep in (integrality_report((0, 0), (1, 1), half),
                 integrality_report_oracle((0, 0), (1, 1), half.get)):
         assert rep.integral is False and rep.g_poly == RPoly([0, Fraction(1, 2)])
-        assert rep.gv_numbers == []
+        assert rep.gv_numbers == [] and rep.to_json_obj()["t_times_G"] == ["0", "1/2"]
 
 
 def test_report_refuses_degrees_outside_the_series():

@@ -1,6 +1,7 @@
 """The matrix-element path as a cyclic transfer-matrix trace, checked against
 the r-set sum it replaced (`oracles.z_coefficient_matrix_rsets`)."""
 
+import copy
 import math
 
 import pytest
@@ -48,3 +49,21 @@ def test_slot_weight_is_an_integer():
 @pytest.mark.parametrize("a", range(5))
 def test_empty_slot_is_the_identity(a):
     assert transfer_matrix(0, a, 0, 0) == {(): {(): QLaurent.one()}}
+
+
+def test_cached_transfer_matrices_are_not_changed_by_the_trace():
+    # transfer_matrix is memoized, so its dicts are shared between calls and
+    # gammas; a trace that wrote into them would change later results
+    gamma, d = (-1, 1, 2, 1, -1, -2), (1, 2, 0, 1, 0, 0)
+    first = z_coefficient_matrix(gamma, d)
+    cached = {key: copy.deepcopy(transfer_matrix(*key)) for key in cached_keys(gamma, d)}
+    assert z_coefficient_matrix(gamma, d) == first
+    for key, mat in cached.items():
+        assert transfer_matrix(*key) == mat, key
+    assert z_coefficient_matrix(gamma, d) == z_coefficient_matrix_rsets(gamma, d)
+
+
+def cached_keys(gamma, d):
+    r = len(gamma)
+    caps = [min(d[i - 1], d[i]) for i in range(r)]
+    return [(d[i], gamma[i] + 2, caps[i], caps[(i + 1) % r]) for i in range(r)]

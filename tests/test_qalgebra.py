@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,9 @@ from gvexact.qalgebra import (
     QRatio,
     RPoly,
     _phi_factors,
+    _shape_denominator,
     cyclotomic,
+    degree_denominator,
     format_qratio,
     pole_extract,
     qbinomial,
@@ -29,7 +32,14 @@ from gvexact.qalgebra import (
     to_y_poly,
     try_to_t_poly,
 )
-from oracles import gcd_ratio, qlaurent_gcd
+from oracles import (
+    FractionRPoly,
+    degree_denominator_chain,
+    gcd_ratio,
+    laurent_to_poly_oracle,
+    pole_extract_oracle,
+    qlaurent_gcd,
+)
 
 
 def q(k):
@@ -529,3 +539,106 @@ def test_multiplicities_up_to_three_on_both_sides():
                 for _ in range(b):
                     bottom = bottom * qnum(j)
                 assert qnum_ratio(Fraction(1, 3), {j: -b}, num) == gcd_ratio(num, bottom)
+
+
+# ---------------------------------------------------------------------------
+# RPoly's integer numerators over one denominator against the Fraction oracle
+# ---------------------------------------------------------------------------
+
+
+def symmetric_ratio(pairs: dict[int, int], c0: int, den: int) -> QRatio:
+    """sum_e c_e (x^e + x^-e) + c0 over den; an odd e is a half-integer q-power."""
+    num = {0: c0}
+    for e, c in pairs.items():
+        num[e] = num[-e] = c
+    return QRatio(QLaurent(num), QLaurent.const(den))
+
+
+symmetric_ratios = st.builds(
+    symmetric_ratio,
+    st.dictionaries(st.integers(1, 8), st.integers(-9, 9), max_size=4),
+    st.integers(-9, 9),
+    st.integers(1, 30),
+)
+# the same with integer q-powers only: every ratio has a t-image
+even_ratios = st.builds(
+    symmetric_ratio,
+    st.dictionaries(st.integers(1, 4).map(lambda e: 2 * e), st.integers(-9, 9), max_size=3),
+    st.integers(-9, 9),
+    st.integers(1, 30),
+)
+
+
+def same_poly(new: RPoly, old: FractionRPoly) -> bool:
+    return (new.coeffs == old.coeffs and new.degree() == old.degree()
+            and new.is_integral() == old.is_integral() and new.is_zero() == old.is_zero()
+            and all(new[i] == old[i] for i in range(-1, len(old.coeffs) + 2)))
+
+
+@PROPERTY
+@given(symmetric_ratios)
+def test_images_match_fraction_oracle(f):
+    for step, image in ((2, to_t_poly), (1, to_y_poly)):
+        try:
+            old = laurent_to_poly_oracle(f, step)
+        except NotSymmetricInT:
+            with pytest.raises(NotSymmetricInT):
+                image(f)
+            continue
+        new = image(f)
+        assert same_poly(new, old)
+        assert math.gcd(new.den, *new.nums) == 1 and new.den > 0
+
+
+@PROPERTY
+@given(
+    st.lists(st.fractions(max_denominator=12), max_size=5),
+    st.lists(st.fractions(max_denominator=12), max_size=4),
+    st.fractions(max_denominator=12),
+)
+def test_rpoly_arithmetic_matches_fraction_oracle(a, b, c):
+    new_a, new_b, old_a, old_b = RPoly(a), RPoly(b), FractionRPoly(a), FractionRPoly(b)
+    assert same_poly(new_a, old_a) and same_poly(new_b, old_b)
+    assert same_poly(new_a + new_b, old_a + old_b)
+    assert same_poly(new_a - new_b, old_a - old_b)
+    assert same_poly(new_a * c, old_a * c) and same_poly(c * new_a, old_a * c)
+    if not old_b.is_zero():
+        (q_new, r_new), (q_old, r_old) = new_a.divmod(new_b), old_a.divmod(old_b)
+        assert same_poly(q_new, q_old) and same_poly(r_new, r_old)
+    assert (new_a == RPoly(old_a.coeffs)) and hash(new_a) == hash(RPoly(old_a.coeffs))
+
+
+def same_extraction(f: QRatio, k: int, mode: str) -> None:
+    try:
+        g_old, rem_old = pole_extract_oracle(f, k, mode)
+    except NoSuchDecomposition:
+        with pytest.raises(NoSuchDecomposition):
+            pole_extract(f, k, mode)
+        return
+    g_new, rem_new = pole_extract(f, k, mode)
+    assert g_new == g_old and same_poly(rem_new, rem_old)
+
+
+@PROPERTY
+@given(even_ratios, symmetric_ratios, st.fractions(max_denominator=12), st.integers(1, 4))
+def test_pole_extract_matches_fraction_oracle(p, any_f, g, k):
+    # g/t_k + p has the plain shape; (g/t_k)(1 + t_(k/2)/2) + p the half one
+    same_extraction(QRatio.const(g) / t_k_qratio(k) + p, k, "plain")
+    same_extraction(any_f, k, "plain")
+    same_extraction(any_f / t_k_qratio(k), k, "plain")
+    even = 2 * k
+    half = QRatio.const(g) / t_k_qratio(even) * (QRatio.one() + t_k_qratio(k) * Fraction(1, 2))
+    same_extraction(half + any_f, even, "half")
+    same_extraction(any_f / t_k_qratio(even), even, "half")
+
+
+def test_degree_denominator_is_cached_on_the_shape():
+    # every permutation of d, zeros included, shares one entry keyed on the
+    # sorted nonzero parts; the value is the product chain over d itself
+    shapes = [(3, 0, 1, 0, 2), (2, 2, 0, 1), (4, 0, 0), (0, 1, 0, 0, 1), (5,)]
+    _shape_denominator.cache_clear()
+    for d in shapes:
+        for perm in set(itertools.permutations(d)):
+            assert degree_denominator(perm) == degree_denominator_chain(perm), perm
+    info = _shape_denominator.cache_info()
+    assert info.misses == len(shapes) and info.currsize == len(shapes)

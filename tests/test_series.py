@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 
 from gvexact.gv import PRESETS, integrality_report
-from gvexact.qalgebra import QLaurent, QRatio, degree_denominator, t_k_qratio
+from gvexact.qalgebra import QLaurent, QRatio, degree_denominator, qbinomial, t_k_qratio
 from gvexact.series import (
     DegreeSeries,
+    _cofactor,
     build_z_series,
     degree_vectors,
     downward_closure,
@@ -214,3 +217,17 @@ def test_strict_ratio_lookup():
 def test_degree_vector_order_is_graded_lex():
     got = list(degree_vectors(2, 2))
     assert got == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
+
+
+def test_cofactor_is_the_product_of_squared_binomials():
+    # cached on the sorted (d_i, e_i) pairs with 0 < e_i < d_i, so the
+    # permutations of a pair list share one value
+    for d in [(3, 0, 2), (2, 2, 1, 0), (4, 1), (1, 1, 1)]:
+        for e in itertools.product(*(range(x + 1) for x in d)):
+            expect = QLaurent.one()
+            for di, ei in zip(d, e):
+                b = qbinomial(di, ei)
+                expect = expect * b * b
+            assert _cofactor(d, e) == expect, (d, e)
+            assert _cofactor(d[::-1], e[::-1]) == expect, (d, e)
+    assert _cofactor((3, 2), (3, 0)).is_one()
