@@ -12,10 +12,12 @@ cleverness.
 Every amplitude is a constant times a product of q-numbers [k]^(+-1) over
 merge vertices, leaves, roots and bridges.  It is built as the exponent of
 each [k], collected in one walk, and reduced over the cyclotomic factors of
-the [k] (`qalgebra.qnum_ratio`), so no amplitude factors a denominator.  The
-sums over forests (of `amplitude_counts`) and over divisors (`g_k_of_w`) add
-exponent vectors over one cyclotomic denominator and reduce once
-(`qalgebra.qnum_sum`); nothing here takes a polynomial gcd.
+the [k] (`qalgebra.qnum_ratio`, memoized), so no amplitude factors a
+denominator.  Scaling every label by k multiplies the white-root constants,
+gamma . d and the linear labels by k and each zeta_v by k^2, so H(W_(k)) is
+read off W's walk.  The sums over forests (of `amplitude_counts`) and over
+divisors (`g_k_of_w`) add exponent vectors over one cyclotomic denominator
+and reduce once (`qalgebra.qnum_sum`); nothing here takes a polynomial gcd.
 """
 
 from __future__ import annotations
@@ -168,55 +170,57 @@ def _down(counts: dict[int, int], k: int) -> None:
     counts[k] = counts.get(k, 0) - 1
 
 
-def _tree_factors(root: Node, counts: dict[int, int], leaves: bool) -> int:
-    """Add the q-number exponents of A(T) to `counts`, and of B(T) when
-    `leaves`; return the constant factor.
-
-    Every merge zeta_v goes up except a white root's, whose constant is
-    c_{L(root)}; a black root puts [n_root] down, and B(T) puts each leaf's
-    [|c|] down.  A [0] that would go down raises ZeroDivisionError."""
-    if not is_leaf(root) and root[3]:  # white root
-        const = node_c(root[4])
-        stack = [root[4], root[5]]
-    else:
-        const = 1
-        _down(counts, node_n(root))
-        stack = [root]
+def _tree_factors(trees, leaves: bool) -> tuple[list[int], dict[int, int], dict[int, int]]:
+    """The factors of prod_T A(T), and of prod_T B(T) when `leaves`, from one
+    walk: the white-root constants c_{L(root)}, the linear exponents (a black
+    root's [n_root] and B's leaf [|c|] down) and, kept apart for
+    `_scaled_counts`, the merge exponents (every [zeta_v] up but a white
+    root's own).  A [0] that would go down raises ZeroDivisionError."""
+    whites, linear, merges, stack = [], {}, {}, []
+    for root in trees:
+        if not is_leaf(root) and root[3]:  # white root
+            whites.append(node_c(root[4]))
+            stack += root[4:]
+        else:
+            _down(linear, node_n(root))
+            stack.append(root)
     while stack:
         v = stack.pop()
         if is_leaf(v):
             if leaves:
-                _down(counts, abs(v[2]))
+                _down(linear, abs(v[2]))
         else:
             z = zeta(v)
-            counts[z] = counts.get(z, 0) + 1
+            merges[z] = merges.get(z, 0) + 1
             stack.append(v[4])
             stack.append(v[5])
-    return const
+    return whites, linear, merges
+
+
+def _scaled_counts(factors, k: int = 1, m: int = 1) -> tuple[int, dict[int, int]]:
+    """(const, counts) of the walked product with every label times k and q -> q^m:
+    a white-root constant times k, a linear label times k m, a zeta_v times k^2 m."""
+    whites, linear, merges = factors
+    counts = {j * k * m: e for j, e in linear.items()}
+    for z, e in merges.items():
+        counts[z * k * k * m] = counts.get(z * k * k * m, 0) + e
+    return math.prod(c * k for c in whites), counts
 
 
 def amplitude_A(forest: VevForest) -> QRatio:
     """A(F) = prod_T A(T), with A(T) = prod [zeta_v] / [n_root] for a black
     root and c_{L(root)} prod over non-root merges [zeta_v] for a white one."""
-    counts: dict[int, int] = {}
-    const = 1
-    for t in forest:
-        const *= _tree_factors(t, counts, False)
-    return qnum_ratio(const, counts)
+    return qnum_ratio(*_scaled_counts(_tree_factors(forest, False)))
 
 
 def amplitude_B(root: Node) -> QRatio:
     """B(T) = A(T) / ([mu][nu]) where mu, nu are the leaf partitions of T."""
-    counts: dict[int, int] = {}
-    return qnum_ratio(_tree_factors(root, counts, True), counts)
+    return qnum_ratio(*_scaled_counts(_tree_factors((root,), True)))
 
 
 def vev_graphs(cs: tuple[int, ...], ns: tuple[int, ...]) -> QRatio:
     """Sum of A(F) over the generated forests; equals the operator VEV."""
-    out = QRatio.zero()
-    for f in generate_vev_forests(cs, ns):
-        out = out + amplitude_A(f)
-    return out
+    return qnum_sum(_scaled_counts(_tree_factors(f, False)) for f in generate_vev_forests(cs, ns))
 
 
 def graph_word(mu: Partition, nu: Partition, a: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -277,6 +281,16 @@ class CombinedForest:
                  for b in self.bridges]
         return verts, edges, count_components(verts, edges)
 
+    @cached_property
+    def _factors(self) -> tuple[int, int, tuple]:
+        """H(W)'s walk, once per forest: the parities of l(mu)+l(nu) and gamma .
+        degree, and `_tree_factors` of the trees with each bridge's [h]^2 up."""
+        whites, linear, merges = _tree_factors((t for f in self.forests for t in f), True)
+        for b in self.bridges:
+            linear[b.label] = linear.get(b.label, 0) + 2
+        l2 = sum(g * d for g, d in zip(self.gamma, self.rset.degree()))
+        return sum(self.l_counts()[:2]) % 2, l2 % 2, (whites, linear, merges)
+
     def contracted_graph(self) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
         """(vertices, edges) of the graph with every VEV tree contracted to a
         vertex; edges are bridge-induced and may repeat (multigraph)."""
@@ -322,18 +336,12 @@ def amplitude_H(w: CombinedForest) -> QRatio:
     return qnum_ratio(*amplitude_counts(w))
 
 
-def amplitude_counts(w: CombinedForest) -> tuple[int, dict[int, int]]:
-    """H(W) = const prod_k [k]^counts[k] as (const, counts), from one walk over the trees."""
-    lm, ln, _ = w.l_counts()
-    l2 = sum(g * d for g, d in zip(w.gamma, w.rset.degree()))
-    const = -1 if (lm + ln + l2) % 2 else 1
-    counts: dict[int, int] = {}
-    for f in w.forests:
-        for t in f:
-            const *= _tree_factors(t, counts, True)
-    for b in w.bridges:
-        counts[b.label] = counts.get(b.label, 0) + 2
-    return const, counts
+def amplitude_counts(w: CombinedForest, k: int = 1, m: int = 1) -> tuple[int, dict[int, int]]:
+    """H(W_(k)) with q -> q^m as (const, counts), by label arithmetic on W's
+    own walk (`CombinedForest._factors`): W_(k) multiplies gamma . d by k."""
+    l1, l2, factors = w._factors
+    const, counts = _scaled_counts(factors, k, m)
+    return (-const if (l1 + k * l2) % 2 else const), counts
 
 
 def _lambda_leaf_positions(
@@ -411,17 +419,17 @@ def g_k_of_w(w: CombinedForest, k: int) -> QRatio:
     """sum over k'|k of mobius(k/k') k'^(-l(mu)-l(nu)-l(lam)+1)
     H(W_(k')) with q -> q^(k/k'); k >= 1, else ValueError.
 
-    q -> q^m sends [j] to [jm], so each divisor's term is the exponent
-    vector of H(W_(k')) with every label times m = k/k', and one `qnum_sum`
-    adds them."""
+    Each divisor's exponent vector is read off W's own walk with no scaled
+    forest built (`amplitude_counts(w, k', k/k')`): W_(k') multiplies the
+    linear labels, the white-root constants and gamma . d by k' and each
+    zeta_v by k'^2, and q -> q^m sends [j] to [jm]; one `qnum_sum` adds them."""
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
     terms = []
     for kp in divisors(k):
-        m = k // kp
-        if mu := mobius(m):
-            const, counts = amplitude_counts(w.scaled(kp))
-            terms.append((Fraction(mu * const, kp**expo), {j * m: e for j, e in counts.items()}))
+        if mu := mobius(k // kp):
+            const, counts = amplitude_counts(w, kp, k // kp)
+            terms.append((Fraction(mu * const, kp**expo), counts))
     return qnum_sum(terms)
 
 

@@ -243,7 +243,7 @@ def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "Q
     return qnum_sum(((const, counts),), num)
 
 
-def qnum_sum(terms, num: QLaurent | None = None) -> "QRatio":
+def qnum_sum(terms, num: QLaurent | None = None, memo: bool = True) -> "QRatio":
     """num * sum over (const, counts) of const * prod_k [k]^counts[k] as a
     canonical QRatio, with no gcd; num, an integer Laurent polynomial, is 1 if left out.
 
@@ -251,7 +251,12 @@ def qnum_sum(terms, num: QLaurent | None = None) -> "QRatio":
     and the terms add up as integers over lcm(den c) prod Phi_j^(-min e_j).  The Phi_j are
     monic, primitive, irreducible and pairwise coprime, so the sum is reduced once, by the
     highest powers of the Phi_j left in the denominator that divide it (`_common_phis`).
-    [0] with a positive exponent makes a term 0; in a denominator it is a ZeroDivisionError."""
+    [0] with a positive exponent makes a term 0; in a denominator it is a ZeroDivisionError.
+    With no num, unless `memo` is False, the sum is memoized on its canonical terms, Fraction(const)
+    and the sorted nonzero (k, e) pairs, as amplitudes repeat: it is shared and read-only."""
+    if num is None and memo:
+        return _memo_sum(tuple((Fraction(c), tuple(sorted((k, e) for k, e in counts.items() if e)))
+                               for c, counts in terms))
     walked = []
     for const, counts in terms:
         c = Fraction(const)
@@ -303,6 +308,11 @@ def qnum_sum(terms, num: QLaurent | None = None) -> "QRatio":
         total = total * _phi_power(up)
     den = _phi_power(tuple((j, -e) for j, e in low.items() if e < 0))
     return QRatio._coprime(total, den * QLaurent.const(lcm) if lcm > 1 else den)
+
+
+@lru_cache(maxsize=None)
+def _memo_sum(terms) -> "QRatio":
+    return qnum_sum([(c, dict(pairs)) for c, pairs in terms], memo=False)
 
 
 @lru_cache(maxsize=None)
@@ -758,8 +768,9 @@ def try_to_t_poly(f: QRatio) -> RPoly | None:
         return None
 
 
+@lru_cache(maxsize=None)
 def t_k_qratio(k: int) -> QRatio:
-    """t_k = [k]^2 as a QRatio."""
+    """t_k = [k]^2 as a QRatio, cached: the result is shared and read-only."""
     return QRatio(qnum(k) * qnum(k))
 
 

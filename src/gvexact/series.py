@@ -217,7 +217,7 @@ def z_coefficient_graphs(
         for w in enumerate_combined_forests(rs, gamma, connected_only=connected_only):
             const, counts = amplitude_counts(w)
             terms.append((Fraction(const, zden), counts))
-    return qnum_sum(terms)
+    return qnum_sum(terms, memo=False)  # one sum per degree: a memo key would cost, never hit
 
 
 def f_connected(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:

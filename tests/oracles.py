@@ -16,6 +16,10 @@ exponent vectors.  The Schur value by the hook-length formula and the
 line-based debug serialization of forests, which the golden files pin, are
 kept here too.
 
+The walk that built H(W)'s exponent vector on the forest itself is kept too
+(`amplitude_counts_oracle`): the engine reads W_(k)'s vector off W's walk by
+label arithmetic, and the tests compare it with this walk over `w.scaled(k)`.
+
 The sums of amplitudes are kept the same way: the graphs path's sum over
 combined forests and the Mobius combination g_k(W) over divisors (with the
 `mobius_sum` it used), each as a QRatio sum of reduced H(W), against the
@@ -269,6 +273,54 @@ def amplitude_H_oracle(w) -> QRatio:
     return out
 
 
+def _down(counts: dict[int, int], k: int) -> None:
+    if k == 0:
+        raise ZeroDivisionError("q-number [0] in a denominator")
+    counts[k] = counts.get(k, 0) - 1
+
+
+def tree_factors_oracle(root, counts: dict[int, int], leaves: bool) -> int:
+    """Add the q-number exponents of A(T) to `counts`, and of B(T) when
+    `leaves`; return the constant factor.
+
+    Every merge zeta_v goes up except a white root's, whose constant is
+    c_{L(root)}; a black root puts [n_root] down, and B(T) puts each leaf's
+    [|c|] down.  A [0] that would go down raises ZeroDivisionError."""
+    if not is_leaf(root) and root[3]:  # white root
+        const = node_c(root[4])
+        stack = [root[4], root[5]]
+    else:
+        const = 1
+        _down(counts, node_n(root))
+        stack = [root]
+    while stack:
+        v = stack.pop()
+        if is_leaf(v):
+            if leaves:
+                _down(counts, abs(v[2]))
+        else:
+            z = zeta(v)
+            counts[z] = counts.get(z, 0) + 1
+            stack.append(v[4])
+            stack.append(v[5])
+    return const
+
+
+def amplitude_counts_oracle(w) -> tuple[int, dict[int, int]]:
+    """H(W) = const prod_k [k]^counts[k] as (const, counts), from one walk over
+    the trees and bridges of w itself."""
+    lm, ln, _ = w.l_counts()
+    l2 = sum(g * d for g, d in zip(w.gamma, w.rset.degree()))
+    const = -1 if (lm + ln + l2) % 2 else 1
+    counts: dict[int, int] = {}
+    for f in w.forests:
+        for t in f:
+            const *= tree_factors_oracle(t, counts, True)
+    for b in w.bridges:
+        counts[b.label] = counts.get(b.label, 0) + 2
+    return const, counts
+
+
 def mobius_sum(k: int, term) -> QRatio:
     """sum over k'|k of mobius(k/k') term(k') with q -> q^(k/k'); k >= 1."""
     out = QRatio.zero()
@@ -281,10 +333,11 @@ def mobius_sum(k: int, term) -> QRatio:
 
 
 def g_k_of_w_oracle(w, k: int) -> QRatio:
-    """g_k(W) as a QRatio sum over the divisors of reduced H(W_(k'))(q^(k/k'))."""
+    """g_k(W) as a QRatio sum over the divisors of H(W_(k'))(q^(k/k')), each
+    a QRatio product chain over the scaled forest W_(k')."""
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
-    return mobius_sum(k, lambda kp: amplitude_H(w.scaled(kp)) * Fraction(1, kp**expo))
+    return mobius_sum(k, lambda kp: amplitude_H_oracle(w.scaled(kp)) * Fraction(1, kp**expo))
 
 
 def z_coefficient_graphs_oracle(gamma, d, connected_only: bool = False) -> QRatio:

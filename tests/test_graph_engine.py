@@ -9,6 +9,7 @@ from gvexact.graph_engine import (
     amplitude_A,
     amplitude_B,
     amplitude_H,
+    amplitude_counts,
     connected_trees_for,
     count_components,
     edge_map,
@@ -26,7 +27,8 @@ from gvexact.partitions import RSet, enumerate_partitions, enumerate_rsets
 from gvexact.qalgebra import QRatio, qnum, t_k_qratio, to_t_poly, try_to_t_poly
 from gvexact.schur_vertex import matrix_element_char, vev_fock
 from gvexact.series import degree_vectors
-from oracles import forest_canonical, g_k_of_w_oracle
+from gvexact.verify import suite_pole_structure
+from oracles import amplitude_counts_oracle, forest_canonical, g_k_of_w_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -176,15 +178,64 @@ def test_g_k_pole_structure():
     assert g_k_of_w(w, 1) == amplitude_H(w)
 
 
-@pytest.mark.parametrize("gamma", [(1, 1), (-1, -1), (0, -2), (1, 1, 1)])
-def test_g_k_matches_the_ratio_sum_over_divisors(gamma):
-    # one reduction over the scaled exponent vectors == a QRatio sum of H(W_(k'))(q^(k/k'))
+# the pole-structure suite's gammas, (0, -2), and the poles-graphs benchmark
+# pairs (perfbench/inputs.py POLES_PAIRS); entries -2 give white roots
+SCALING_GAMMAS = [
+    (1, 1), (-1, -1), (0, -2), (1, 1, 1),
+    (-2, -1), (-1, -1, 1), (-2, 0), (-2, -2, 2), (0, 0, 0), (-2, 2), (-2, -1, -1),
+    (0, 0), (-2, -2, 1), (0, 1),
+]
+
+
+def connected_forests(gamma):
     r = len(gamma)
     for d in degree_vectors(r, 3):
         for rs in enumerate_rsets(r, d):
-            for w in enumerate_combined_forests(rs, gamma, connected_only=True):
-                for k in range(1, 7):
-                    assert g_k_of_w(w, k) == g_k_of_w_oracle(w, k), (rs, k)
+            yield from enumerate_combined_forests(rs, gamma, connected_only=True)
+
+
+@pytest.mark.parametrize("gamma", SCALING_GAMMAS)
+def test_g_k_matches_the_ratio_sum_over_divisors(gamma):
+    # one reduction over the label-scaled exponent vectors == a QRatio sum of
+    # H(W_(k'))(q^(k/k')), each a product chain over the scaled forest
+    for w in connected_forests(gamma):
+        for k in range(1, 7):
+            assert g_k_of_w(w, k) == g_k_of_w_oracle(w, k), (w.rset, k)
+
+
+def nonzero(counts):
+    return {j: e for j, e in counts.items() if e}
+
+
+@pytest.mark.parametrize("gamma", SCALING_GAMMAS, ids=str)
+def test_label_scaled_counts_match_the_walk_of_the_scaled_forest(gamma):
+    # W_(k) read off W's own walk: linear labels, white-root constants and
+    # gamma.d times k, each zeta_v times k^2, and q -> q^m times m
+    for w in connected_forests(gamma):
+        for k in range(1, 7):
+            const, counts = amplitude_counts_oracle(w.scaled(k))
+            for m in (1, 2):
+                got = amplitude_counts(w, k, m)
+                assert got[0] == const, (w.rset, k)
+                expect = {j * m: e for j, e in nonzero(counts).items()}
+                assert nonzero(got[1]) == expect, (w.rset, k)
+
+
+def test_memoized_ratios_are_not_changed_by_the_pole_checks():
+    # amplitudes, g_k(W) and t_k are memoized, so their ratios are shared
+    # between calls; a pole check that wrote into one would change later results
+    forests = list(connected_forests((1, 1, 1))) + list(connected_forests((0, -2)))
+    ratios = [t_k_qratio(k) for k in range(1, 4)]
+    ratios += [amplitude_H(w) for w in forests]
+    ratios += [g_k_of_w(w, k) for w in forests for k in (2, 3)]
+    saved = [(dict(f.num.coeffs), dict(f.den.coeffs)) for f in ratios]
+    assert suite_pole_structure().startswith("pole data")
+    again = [t_k_qratio(k) for k in range(1, 4)]
+    again += [amplitude_H(w) for w in forests]
+    again += [g_k_of_w(w, k) for w in forests for k in (2, 3)]
+    for f, g, (num, den) in zip(ratios, again, saved):
+        assert g is f
+        assert f.num.coeffs == num and f.den.coeffs == den
 
 
 def test_g_k_needs_positive_k():

@@ -428,6 +428,33 @@ def test_qnum_sum_edge_cases():
         qnum_sum([(1, {1: 1}), (0, {0: -1})])
 
 
+@PROPERTY
+@given(qnum_terms)
+def test_memoized_qnum_sum_equals_an_uncached_one(terms):
+    # negative k, zero exponents and [0] with a positive exponent included
+    got = qnum_sum(terms)
+    expect = qnum_sum(terms, memo=False)
+    assert got.num == expect.num and got.den == expect.den
+    # the key is canonical: neither dict order nor a zero exponent changes it
+    reordered = [(c, {**dict(reversed(counts.items())), 10: 0}) for c, counts in terms]
+    assert qnum_sum(reordered) is got
+
+
+def test_qnum_sum_memo_keys_and_failures():
+    a = qnum_sum([(3, {5: 1, -2: -1})])
+    assert qnum_sum([(Fraction(6, 2), {-2: -1, 4: 0, 5: 1})]) is a
+    b = qnum_sum([(-3, {5: 1, -2: -1})])
+    assert b is not a and b == -a
+    num = QLaurent({0: 2, 1: 1})
+    # a reduction with a numerator is not memoized
+    assert qnum_ratio(3, {2: -1}, num) is not qnum_ratio(3, {2: -1}, num)
+    for _ in range(3):  # a failed reduction is not cached
+        with pytest.raises(ZeroDivisionError):
+            qnum_sum([(1, {0: -1, 2: 1})])
+        with pytest.raises(ZeroDivisionError):
+            qnum_ratio(1, {2: 1, 0: -1})
+
+
 def test_equality_with_a_number_is_a_type_error():
     for value in (QRatio.one(), QRatio.zero(), RPoly([1]), RPoly()):
         for number in (1, 0, Fraction(1, 2)):
