@@ -13,13 +13,13 @@ a coefficient is reduced over the cyclotomic factors of its denominator
 (`qalgebra.qnum_ratio`), again with no polynomial gcd.  The graphs path
 adds the q-number exponent vectors of every combined forest's amplitude
 over one common cyclotomic denominator and reduces the sum once
-(`qalgebra.qnum_sum`), with no QRatio arithmetic.  The matrix path is the
-trace of a cyclic product of transfer matrices over the intermediate Fock
-states, one matrix per slot; the matrices and their entries are memoized per
-slot and shared across degrees and gammas.  What a degree's shape fixes is
-built once per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the
-sorted (d_i, e_i) pairs, and D_d (`qalgebra.degree_denominator`) on the
-sorted nonzero d_i.  The t-images read from these coefficients are integer
+(`qalgebra.qnum_sum`), with no QRatio arithmetic.  The def and matrix paths
+share one framed cyclic trace over the intermediate Fock states (`_trace`),
+of W numerators framed by gamma, or of transfer matrices memoized per slot
+and shared across degrees and gammas.  What a degree's shape fixes is built
+once per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the sorted
+(d_i, e_i) pairs, and D_d (`qalgebra.degree_denominator`) on the sorted
+nonzero d_i.  The t-images read from these coefficients are integer
 numerators over one denominator (`qalgebra.RPoly`).
 """
 
@@ -84,20 +84,18 @@ def _check_degree(gamma: tuple[int, ...], d: tuple[int, ...]) -> None:
 
 def z_numerator(gamma: tuple[int, ...], d: tuple[int, ...]) -> QLaurent:
     """Z_d D_d, where Z_d = (-1)^(gamma.d) sum over r-tuples lambda^i in
-    P_{d_i} of prod_i q^(gamma_i kappa(lambda^i)/2) W(lambda^i, lambda^{i+1}).
+    P_{d_i} of prod_i q^(gamma_i kappa(lambda^i)/2) W(lambda^i, lambda^{i+1}):
+    the `_trace` of M_i[lambda][lambda'] = w_numerator(lambda, lambda') over
+    lambda |- d_i, lambda' |- d_{i+1}, framed by gamma.
 
     Each lambda^i sits in two vertex factors, so D_d splits into one
     integral W [|mu|]! [|nu|]! (`w_numerator`) per factor and the sum needs
     no division."""
     _check_degree(gamma, d)
     r = len(gamma)
-    total = QLaurent.zero()
-    for lams in itertools.product(*(enumerate_partitions(di) for di in d)):
-        term = w_numerator(lams[0], lams[1])
-        for i in range(1, r):
-            term = term * w_numerator(lams[i], lams[(i + 1) % r])
-        total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
-    return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
+    mats = [{lam: {lamp: w_numerator(lam, lamp) for lamp in enumerate_partitions(d[(i + 1) % r])}
+             for lam in enumerate_partitions(d[i])} for i in range(r)]
+    return _trace(gamma, d, mats, gamma)
 
 
 def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
@@ -108,7 +106,8 @@ def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     """The same coefficient as the cyclic trace tr(T_1 ... T_r) of the
     `transfer_matrix` of each slot, summed over the intermediate Fock states
-    lambda^i of the vertex-operator product.
+    lambda^i of the vertex-operator product: the framed trace (`_trace`) of
+    the def path with no framing, since T_i holds slot i's q^(F2) itself.
 
     Slot i carries d_i!^2 times its 1 / ([mu^i] [nu^i] z(mu^i) z(nu^i)
     z(lambda^i)), so the trace is one integer sum over the common
@@ -119,17 +118,32 @@ def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     caps = [min(d[i - 1], d[i]) for i in range(r)]  # |lambda^i| <= caps[i]
     mats = [transfer_matrix(d[i], gamma[i] + 2, caps[i], caps[(i + 1) % r])
             for i in range(r)]
-    rows = mats[0]
-    for mat in mats[1:]:
-        rows = _times(rows, mat)
-    total = QLaurent.zero()
-    for lam, row in rows.items():
-        if lam in row:
-            total = total + row[lam]
-    if sum(g * di for g, di in zip(gamma, d)) % 2:
-        total = -total
     scale = math.prod(math.factorial(di) ** 2 for di in d)
-    return qnum_ratio(Fraction(1, scale), degree_counts(d), total)
+    return qnum_ratio(Fraction(1, scale), degree_counts(d), _trace(gamma, d, mats, (0,) * r))
+
+
+def _trace(gamma: tuple[int, ...], d: tuple[int, ...], mats: list[dict],
+           framing: tuple[int, ...]) -> QLaurent:
+    """(-1)^(gamma.d) tr(S_1 M_1 ... S_r M_r) for sparse QLaurent matrices
+    M_i[lambda][lambda'], with S_i = diag x^(framing_i kappa(lambda)) taken as
+    an exponent offset.  Each row of M_1 runs through M_2 ... M_(r-1); only
+    the diagonal of the last product is formed, and no M_i is changed."""
+    *mid_mats, last = mats[1:]
+    acc: dict[int, int] = {}
+    for lam, row in mats[0].items():
+        for mat, f in zip(mid_mats, framing[1:]):
+            nxt: dict = {}
+            for mid, x in row.items():
+                shift = f * kappa(mid)
+                for lamp, y in mat.get(mid, {}).items():
+                    _mul_add(nxt.setdefault(lamp, {}), x, y, shift)
+            row = {lamp: v for lamp, c in nxt.items() if (v := QLaurent(c))}
+        for mid, x in row.items():
+            y = last.get(mid, {}).get(lam)
+            if y is not None:
+                _mul_add(acc, x, y, framing[0] * kappa(lam) + framing[-1] * kappa(mid))
+    sign = -1 if sum(g * di for g, di in zip(gamma, d)) % 2 else 1
+    return QLaurent({e: sign * v for e, v in acc.items()})
 
 
 @lru_cache(maxsize=None)
@@ -186,21 +200,6 @@ def _exact_quotient(n: int, m: int) -> int:
     if rem:
         raise ArithmeticError(f"{m} does not divide {n}")
     return q
-
-
-def _times(rows: dict, mat: dict) -> dict:
-    """The sparse product of two transfer-matrix chains."""
-    out = {}
-    for lam, row in rows.items():
-        acc = {}
-        for mid, x in row.items():
-            for lamp, y in mat.get(mid, {}).items():
-                xy = x * y
-                acc[lamp] = acc[lamp] + xy if lamp in acc else xy
-        acc = {lamp: v for lamp, v in acc.items() if v}
-        if acc:
-            out[lam] = acc
-    return out
 
 
 def z_coefficient_graphs(
@@ -318,32 +317,33 @@ class DegreeSeries:
         for d in degree_vectors(self.r, self.max_total):
             if not self._keeps(d):
                 continue
-            n = sum(d)
+            n = -sum(d)
             acc = {e: v * n for e, v in self.numerators.get(d, QLaurent.zero()).coeffs.items()}
-            # the box below d; neither 0 nor d itself is in fn
+            # -FN_d; the box below d, where neither 0 nor d itself is in fn
             for e in itertools.product(*(range(x + 1) for x in d)):
                 fe = fn.get(e)
                 if fe is None:
                     continue
                 rest = self.numerators.get(tuple(a - b for a, b in zip(d, e)))
                 if rest is not None:
-                    _subtract_product(acc, fe * rest, _cofactor(d, e))
-            fd = QLaurent(acc)
+                    _mul_add(acc, fe * rest, _cofactor(d, e))
+            fd = QLaurent({e: -v for e, v in acc.items()})
             if fd:
                 fn[d] = fd
         return out
 
 
-def _subtract_product(acc: dict[int, int], a: QLaurent, b: QLaurent) -> None:
-    """acc -= a * b, in place on a dict of exponents to coefficients that
-    may hold zeros."""
+def _mul_add(acc: dict[int, int], a: QLaurent, b: QLaurent, shift: int = 0) -> None:
+    """acc += x^shift a b, in place on a dict of exponents to coefficients
+    that may hold zeros."""
     a, b = a.coeffs, b.coeffs
     if len(a) > len(b):
         a, b = b, a
     for e1, v1 in a.items():
+        e1 += shift
         for e2, v2 in b.items():
             e = e1 + e2
-            acc[e] = acc.get(e, 0) - v1 * v2
+            acc[e] = acc.get(e, 0) + v1 * v2
 
 
 def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:

@@ -27,7 +27,9 @@ engine's one reduction over a common cyclotomic denominator.
 
 The matrix-element path's r-set sum is kept as the oracle for its transfer-
 matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
-r-fold product of bosonic matrix elements.
+r-fold product of bosonic matrix elements.  The def path's r-tuple sum is
+kept the same way (`z_numerator_tuples`): every r-tuple of partitions
+multiplies its own r vertex numerators, against the engine's framed trace.
 
 The t- and y-images are kept the same way: `FractionRPoly`, with one
 Fraction per coefficient, and the image and pole extraction built on it,
@@ -42,6 +44,7 @@ equivalence classes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -82,7 +85,7 @@ from gvexact.qalgebra import (
     t_k_qratio,
     to_t_poly,
 )
-from gvexact.schur_vertex import matrix_element_char
+from gvexact.schur_vertex import matrix_element_char, w_numerator
 
 
 def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -353,6 +356,19 @@ def z_coefficient_graphs_oracle(gamma, d, connected_only: bool = False) -> QRati
             inner = inner + amplitude_H(w)
         total = total + inner * Fraction(1, zden)
     return total
+
+
+def z_numerator_tuples(gamma, d) -> QLaurent:
+    """Z_d D_d as the sum over r-tuples lambda^i |- d_i of (-1)^(gamma.d)
+    x^(sum_i gamma_i kappa(lambda^i)) prod_i w_numerator(lambda^i, lambda^{i+1})."""
+    r = len(gamma)
+    total = QLaurent.zero()
+    for lams in itertools.product(*(enumerate_partitions(di) for di in d)):
+        term = w_numerator(lams[0], lams[1])
+        for i in range(1, r):
+            term = term * w_numerator(lams[i], lams[(i + 1) % r])
+        total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
+    return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
 
 
 def z_coefficient_matrix_rsets(gamma, d) -> QRatio:

@@ -1,5 +1,7 @@
-"""The matrix-element path as a cyclic transfer-matrix trace, checked against
-the r-set sum it replaced (`oracles.z_coefficient_matrix_rsets`)."""
+"""The framed cyclic trace that the def and matrix paths share: the matrix
+path's transfer-matrix trace against the r-set sum it replaced
+(`oracles.z_coefficient_matrix_rsets`), and the def path's trace of W
+numerators against its r-tuple sum (`oracles.z_numerator_tuples`)."""
 
 import copy
 import math
@@ -9,8 +11,9 @@ import pytest
 from gvexact.gv import PRESETS
 from gvexact.partitions import enumerate_partitions, z_factor
 from gvexact.qalgebra import QLaurent
-from gvexact.series import degree_vectors, transfer_matrix, z_coefficient_matrix
-from oracles import z_coefficient_matrix_rsets
+from gvexact.schur_vertex import w_numerator
+from gvexact.series import degree_vectors, transfer_matrix, z_coefficient_matrix, z_numerator
+from oracles import z_coefficient_matrix_rsets, z_numerator_tuples
 
 # sweep-wide benchmark gammas, r = 2 and r = 3 cases and the r = 4 surfaces,
 # each to |d| <= 4 (the matrix path's cap); that includes degrees with zero
@@ -37,6 +40,24 @@ def test_trace_matches_rset_sum(gamma):
         assert z_coefficient_matrix(gamma, d) == z_coefficient_matrix_rsets(gamma, d), (gamma, d)
 
 
+# every preset to |d| <= 5, the other trace gammas to 4, and three r = 2
+# gammas to 6: r = 2 has no middle product, and a zero entry of d is a slot
+# with the one state ()
+DEF_TRACE_CAPS = {
+    **{gamma: 4 for gamma in TRACE_GAMMAS},
+    **{gamma: 5 for gamma in PRESETS.values()},
+    (1, 1): 6,
+    (0, -2): 6,
+    (-1, -1): 6,
+}
+
+
+@pytest.mark.parametrize("gamma,cap", DEF_TRACE_CAPS.items(), ids=str)
+def test_def_trace_matches_tuple_sum(gamma, cap):
+    for d in degree_vectors(len(gamma), cap):
+        assert z_numerator(gamma, d) == z_numerator_tuples(gamma, d), (gamma, d)
+
+
 def test_slot_weight_is_an_integer():
     # d!^2 / (z(lam) z(mu) z(nu)) splits as d!/(z(lam) z(mu)) times d!/z(nu)
     for n in range(9):
@@ -61,6 +82,16 @@ def test_cached_transfer_matrices_are_not_changed_by_the_trace():
     for key, mat in cached.items():
         assert transfer_matrix(*key) == mat, key
     assert z_coefficient_matrix(gamma, d) == z_coefficient_matrix_rsets(gamma, d)
+    # the def path's matrices hold references into the w_numerator cache
+    r = len(gamma)
+    pairs = [(lam, lamp) for i in range(r) for lam in enumerate_partitions(d[i])
+             for lamp in enumerate_partitions(d[(i + 1) % r])]
+    cached = {pair: copy.deepcopy(w_numerator(*pair)) for pair in pairs}
+    first = z_numerator(gamma, d)
+    assert z_numerator(gamma, d) == first
+    for pair, w in cached.items():
+        assert w_numerator(*pair) == w, pair
+    assert first == z_numerator_tuples(gamma, d)
 
 
 def cached_keys(gamma, d):

@@ -1,12 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from gvexact.gv import PRESETS, integrality_report
 from gvexact.qalgebra import QLaurent, QRatio, degree_denominator, qbinomial, t_k_qratio
 from gvexact.series import (
     DegreeSeries,
     _cofactor,
+    _mul_add,
     build_z_series,
     degree_vectors,
     downward_closure,
@@ -231,3 +234,20 @@ def test_cofactor_is_the_product_of_squared_binomials():
             assert _cofactor(d, e) == expect, (d, e)
             assert _cofactor(d[::-1], e[::-1]) == expect, (d, e)
     assert _cofactor((3, 2), (3, 0)).is_one()
+
+
+int_dicts = st.dictionaries(st.integers(-6, 6), st.integers(-4, 4), max_size=5)
+
+
+@given(int_dicts, int_dicts.map(QLaurent), int_dicts.map(QLaurent), st.integers(-5, 5))
+@example({0: 0, 2: -3}, QLaurent.zero(), QLaurent({1: 2}), 3)
+@example({0: 0, -1: 5}, QLaurent({-1: 2, 4: -1}), QLaurent.zero(), -2)
+def test_mul_add_adds_the_shifted_product(acc, a, b, shift):
+    # acc may hold zeros and negative values; it is changed in place
+    out = dict(acc)
+    _mul_add(out, a, b, shift)
+    assert QLaurent(out) == QLaurent(acc) + (a * b).shifted(shift)
+    if shift == 0:
+        plain = dict(acc)
+        _mul_add(plain, a, b)
+        assert plain == out
