@@ -10,6 +10,7 @@ status 2 and one `error:` line on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from dataclasses import dataclass
@@ -90,7 +91,10 @@ def parse_degrees(text: str) -> list[tuple[int, ...]]:
 
 
 def compute_reports(config: RunConfig) -> tuple[list[GvReport], bool]:
-    """All requested reports in graded-lex order plus the overall verdict."""
+    """All requested reports in graded-lex order plus the overall verdict.
+    Each orbit of gamma's symmetry (`series.stabilizer`) is reported and
+    cross-checked once, at its first target; the orbit's other targets get
+    copies of that report with their own degree."""
     if config.degrees:
         targets = sorted(set(config.degrees), key=lambda d: (sum(d), d))
         zs = build_z_series(config.gamma, config.top_degree(), degrees=targets)
@@ -98,9 +102,14 @@ def compute_reports(config: RunConfig) -> tuple[list[GvReport], bool]:
         targets = list(degree_vectors(len(config.gamma), config.max_total_degree))
         zs = build_z_series(config.gamma, config.max_total_degree)
     fs = zs.log()
+    first: dict[tuple[int, ...], GvReport] = {}  # orbit representative -> its first report
     reports = []
     for d in targets:
-        rep = integrality_report(config.gamma, d, fs)
+        k = fs.key(d)
+        if k in first:  # t*G_d and every path's value are the same across the orbit
+            reports.append(dataclasses.replace(first[k], degree=d))
+            continue
+        rep = first[k] = integrality_report(config.gamma, d, fs)
         if "matrix" in config.paths:
             rep.paths_agree &= z_coefficient_matrix(config.gamma, d) == zs.get(d)
         if "graphs" in config.paths:

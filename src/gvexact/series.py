@@ -21,6 +21,16 @@ once per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the sorted
 (d_i, e_i) pairs, and D_d (`qalgebra.degree_denominator`) on the sorted
 nonzero d_i.  The t-images read from these coefficients are integer
 numerators over one denominator (`qalgebra.RPoly`).
+
+Every coefficient is computed once per orbit of gamma's dihedral symmetry.
+Since W(mu, nu) = W(nu, mu), rotating or reflecting (gamma, d) together
+fixes Z_d, so the index permutations i -> +-i + k (mod r) that fix gamma
+(`stabilizer`) fix ZN_d, FN_d and t*G_d too.  A series keys its numerators
+and reduced ratios on one representative per orbit (`DegreeSeries.key`):
+the least image of d, in tuple order, that lies inside the series'
+support.  Z and the log are computed on the representatives only, and a
+read at any other degree of the orbit is a lookup.  A gamma with no
+symmetry simply has one-element orbits.
 """
 
 from __future__ import annotations
@@ -68,6 +78,17 @@ def _compositions(total: int, r: int):
     for first in range(total, -1, -1):
         for rest in _compositions(total - first, r - 1):
             yield (first,) + rest
+
+
+@lru_cache(maxsize=None)
+def stabilizer(gamma: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct index permutations s: i -> +-i + k (mod r) of the cyclic
+    quiver with gamma[s[i]] == gamma[i] for every i, sorted, the identity
+    first.  The image of a degree d under s is (d[s[0]], ..., d[s[r-1]]),
+    and Z, log Z and t*G take the same value at d and at its image."""
+    r = len(gamma)
+    perms = {tuple((sign * i + k) % r for i in range(r)) for sign in (1, -1) for k in range(r)}
+    return tuple(sorted(s for s in perms if all(gamma[j] == g for j, g in zip(s, gamma))))
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +253,8 @@ def f_connected(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 class DegreeSeries:
     """Formal series sum_d c_d Q^d truncated at a total degree.
 
-    The series holds integer Laurent numerators: c_d = numerators[d] / D_d,
-    or c_d = numerators[d] / (|d| D_d) for a `weighted` series.  The
+    The series holds integer Laurent numerators: c_d = numerator(d) / D_d,
+    or c_d = numerator(d) / (|d| D_d) for a `weighted` series.  The
     partition function keeps ZN_d = Z_d D_d; its log, the free energy, is
     weighted and keeps FN_d = |d| F_d D_d.  `get` (and `coefficients`)
     reduces a coefficient to a canonical QRatio the first time it is read
@@ -242,62 +263,95 @@ class DegreeSeries:
     An optional support set restricts the kept degree vectors further; it
     must be downward closed under the componentwise order, because the log
     recursion reads Z at every degree below a kept one.
+
+    `symmetry` holds index permutations under which every coefficient is
+    invariant (`stabilizer`; the identity alone by default).  `numerators`
+    and the reduced ratios are keyed on one representative per orbit
+    (`key`), and `numerator`, `get` and `coefficients` read any kept degree
+    through it.
     """
 
     def __init__(self, r: int, max_total: int, support: frozenset | None = None,
-                 weighted: bool = False):
+                 weighted: bool = False, symmetry: tuple[tuple[int, ...], ...] | None = None):
         self.r = r
         self.max_total = max_total
         self.support = support
         self.weighted = weighted
-        self.numerators: dict[tuple[int, ...], QLaurent] = {}
+        self.symmetry = symmetry or (tuple(range(r)),)
+        self.numerators: dict[tuple[int, ...], QLaurent] = {}  # on representatives
         self._ratios: dict[tuple[int, ...], QRatio] = {}
         self.constant = QRatio.zero()
+        # each kept degree that is not its orbit's representative, to the
+        # representative: empty when the symmetry is the identity alone
+        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
+        for d in self._kept():
+            k = min(im for s in self.symmetry if self._keeps(im := tuple(d[j] for j in s)))
+            if k != d:
+                self._keys[d] = k
 
     def _keeps(self, d: tuple[int, ...]) -> bool:
         if sum(d) > self.max_total:
             return False
         return self.support is None or d in self.support
 
+    def _kept(self):
+        """Every kept degree, in graded order."""
+        return (d for d in degree_vectors(self.r, self.max_total) if self._keeps(d))
+
+    def key(self, d: tuple[int, ...]) -> tuple[int, ...]:
+        """The representative of d's orbit: the least image of d, in tuple
+        order, inside the computed range, which d's orbit-mates share; a
+        degree outside the range is a KeyError rather than a silent zero."""
+        if not self._keeps(d):
+            raise KeyError(f"coefficient at {d} was not computed")
+        return self._keys.get(d, d)
+
+    def representatives(self) -> list[tuple[int, ...]]:
+        """One kept degree per orbit, in graded order."""
+        return [d for d in self._kept() if d not in self._keys]
+
     def _weight(self, d: tuple[int, ...]) -> int:
-        """c_d = numerators[d] / (weight * D_d)."""
+        """c_d = numerator(d) / (weight * D_d)."""
         return sum(d) if self.weighted else 1
 
     def set_numerator(self, d: tuple[int, ...], num: QLaurent) -> None:
-        """Store the numerator of c_d for a nonzero kept degree d."""
-        self._ratios.pop(d, None)
+        """Store the numerator of c_d, and so of its whole orbit, for a
+        nonzero kept degree d."""
+        k = self.key(d)
+        self._ratios.pop(k, None)
         if num.is_zero():
-            self.numerators.pop(d, None)
+            self.numerators.pop(k, None)
         else:
-            self.numerators[d] = num
+            self.numerators[k] = num
 
     def numerator(self, d: tuple[int, ...]) -> QLaurent:
         """The numerator at a nonzero degree d; a degree outside the
         computed range is a KeyError rather than a silent zero."""
-        if not self._keeps(d):
-            raise KeyError(f"coefficient at {d} was not computed")
-        return self.numerators.get(d, QLaurent.zero())
+        return self.numerators.get(self.key(d), QLaurent.zero())
 
     def get(self, d: tuple[int, ...]) -> QRatio:
-        """c_d as a canonical QRatio, reduced on first read over the
-        cyclotomic factors of its denominator D_d (times |d| when weighted)
-        by `qnum_ratio`, with no polynomial gcd; like `numerator`, a degree
-        outside the computed range is a KeyError."""
+        """c_d as a canonical QRatio, reduced on the first read of its orbit
+        over the cyclotomic factors of its denominator D_d (times |d| when
+        weighted) by `qnum_ratio`, with no polynomial gcd; like `numerator`,
+        a degree outside the computed range is a KeyError."""
         if not any(d):
             return self.constant
-        out = self._ratios.get(d)
+        k = self.key(d)
+        out = self._ratios.get(k)
         if out is None:
-            num = self.numerator(d)
-            if num.is_zero():
+            num = self.numerators.get(k)
+            if num is None:
                 return QRatio.zero()
-            out = self._ratios[d] = qnum_ratio(Fraction(1, self._weight(d)),
-                                               degree_counts(d), num)
+            # D_d and |d| are symmetric in the entries of d, so c_d = c_k
+            out = self._ratios[k] = qnum_ratio(Fraction(1, self._weight(k)),
+                                               degree_counts(k), num)
         return out
 
     @property
     def coefficients(self) -> dict[tuple[int, ...], QRatio]:
-        """Every nonzero c_d as a reduced ratio; reading it reduces them all."""
-        return {d: self.get(d) for d in self.numerators}
+        """Every nonzero c_d as a reduced ratio; reading it reduces them all,
+        once per orbit."""
+        return {d: self.get(d) for d in self._kept() if self.key(d) in self.numerators}
 
     def log(self) -> "DegreeSeries":
         """F = log Z by the Euler-operator recursion
@@ -306,25 +360,28 @@ class DegreeSeries:
         Multiplied through by D_d it runs on integer numerators with no gcd:
         FN_d = |d| F_d D_d = |d| ZN_d - sum_{0<e<d} FN_e ZN_(d-e) cof(d, e),
         where ZN_d = Z_d D_d and cof(d, e) = D_d / (D_e D_(d-e)) =
-        prod_i qbinom(d_i, e_i)^2.  Degrees are visited in graded order, so
-        every e in the box below d is done before d.  The result is the
-        weighted series of the FN_d; nothing is reduced here.
+        prod_i qbinom(d_i, e_i)^2.  Only the orbit representatives are
+        computed, in graded order, so the representative of every e in the
+        box below d, which `key` finds inside the downward-closed support, is
+        done before d.  The result is the weighted series of the FN_d, with
+        this series' symmetry; nothing is reduced here.
         """
         if self.weighted or self.constant != QRatio.one():
             raise ValueError("log needs an unweighted series with constant term 1")
-        out = DegreeSeries(self.r, self.max_total, self.support, weighted=True)
-        fn = out.numerators  # FN_e
-        for d in degree_vectors(self.r, self.max_total):
-            if not self._keeps(d):
-                continue
+        out = DegreeSeries(self.r, self.max_total, self.support, weighted=True,
+                           symmetry=self.symmetry)
+        keys, zn, fn = self._keys, self.numerators, out.numerators  # fn: FN_e
+        for d in self.representatives():
             n = -sum(d)
-            acc = {e: v * n for e, v in self.numerators.get(d, QLaurent.zero()).coeffs.items()}
-            # -FN_d; the box below d, where neither 0 nor d itself is in fn
+            acc = {e: v * n for e, v in zn.get(d, QLaurent.zero()).coeffs.items()}
+            # -FN_d; the box below d, kept as the support is downward
+            # closed, where neither 0 nor d itself is in fn
             for e in itertools.product(*(range(x + 1) for x in d)):
-                fe = fn.get(e)
+                fe = fn.get(keys.get(e, e))
                 if fe is None:
                     continue
-                rest = self.numerators.get(tuple(a - b for a, b in zip(d, e)))
+                de = tuple(a - b for a, b in zip(d, e))
+                rest = zn.get(keys.get(de, de))
                 if rest is not None:
                     _mul_add(acc, fe * rest, _cofactor(d, e))
             fd = QLaurent({e: -v for e, v in acc.items()})
@@ -379,12 +436,11 @@ def build_z_series(
 ) -> DegreeSeries:
     """Assemble the partition-function series (definitional path) up to the
     total-degree cap, optionally restricted to the downward closure of an
-    explicit degree set."""
-    r = len(gamma)
+    explicit degree set.  Z_d is computed once per orbit of gamma's
+    `stabilizer`, at the orbit's representative."""
     support = None if degrees is None else downward_closure(degrees)
-    z = DegreeSeries(r, max_total, support)
+    z = DegreeSeries(len(gamma), max_total, support, symmetry=stabilizer(gamma))
     z.constant = QRatio.one()
-    for d in degree_vectors(r, max_total):
-        if support is None or d in support:
-            z.set_numerator(d, z_numerator(gamma, d))
+    for d in z.representatives():
+        z.set_numerator(d, z_numerator(gamma, d))
     return z

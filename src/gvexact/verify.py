@@ -1,8 +1,8 @@
 """Property suites behind `gv verify`: each suite re-derives a family of
 identities at a fixed scale and reports pass/fail.
 
-The same functions back the pytest suite; only the pole-structure suite takes
-its scales as arguments (the graph-based paths grow exponentially with them).
+The same functions back the pytest suite; only the pole-structure suites take
+their scales as arguments (the graph-based paths grow exponentially with them).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from gvexact.graph_engine import (
     tree_type,
     vev_graphs,
 )
-from gvexact.gv import mobius
+from gvexact.gv import PRESETS, mobius
 from gvexact.partitions import (
     enumerate_partitions,
     enumerate_rsets,
@@ -42,6 +42,7 @@ from gvexact.qalgebra import (
     NotSymmetricInT,
     QRatio,
     RPoly,
+    _phi_factors,
     pole_extract,
     qnum,
     qnum_product,
@@ -258,6 +259,29 @@ def suite_exp_formula() -> str:
     return f"exponential formula at {count} coefficients"
 
 
+def suite_free_energy_poles(
+    cases=((PRESETS["P2"], 6), (PRESETS["F0"], 4), (PRESETS["F1"], 4), ((0, -2), 6)),
+) -> str:
+    """The reduced denominator of every F_d of log Z, read once per orbit of
+    gamma's symmetry (every other degree of the orbit has the same F_d), is
+    c x^s prod Phi_j^e with j | 2 gcd(d) and e <= 2 (`check_free_energy_poles`)."""
+    checked = degrees = 0
+    for gamma, cap in cases:
+        fs = build_z_series(gamma, cap).log()
+        for d in fs.representatives():
+            check_free_energy_poles(d, fs.get(d))
+            checked += 1
+        degrees += len(list(degree_vectors(len(gamma), cap)))
+    return f"F_d poles at {checked} orbit representatives of {degrees} degrees"
+
+
+def check_free_energy_poles(d: tuple[int, ...], f: QRatio) -> None:
+    """F_d has poles only at the Phi_j with j | 2 gcd(d), each of order <= 2."""
+    k = 2 * math.gcd(*d)
+    for j, e in _phi_factors(f.den):
+        _check(k % j == 0 and e <= 2, f"F_{d} has the pole Phi_{j}^{e}; need j | {k}, e <= 2")
+
+
 def suite_pole_structure(
     max_weight: int = 3,
     gammas=((1, 1), (-1, -1), (1, 1, 1)),
@@ -351,6 +375,7 @@ SUITES = {
     "vev-oracle": suite_vev_oracle,
     "exp-formula": suite_exp_formula,
     "pole-structure": suite_pole_structure,
+    "free-energy-poles": suite_free_energy_poles,
     "q-lemmas": suite_q_lemmas,
     "rset-sanity": suite_rset_sanity,
 }

@@ -30,6 +30,9 @@ matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
 r-fold product of bosonic matrix elements.  The def path's r-tuple sum is
 kept the same way (`z_numerator_tuples`): every r-tuple of partitions
 multiplies its own r vertex numerators, against the engine's framed trace.
+The computation of Z and log Z at every degree vector is kept the same way
+(`every_degree_series`), against the engine's one computation per orbit of
+gamma's dihedral symmetry.
 
 The t- and y-images are kept the same way: `FractionRPoly`, with one
 Fraction per coefficient, and the image and pole extraction built on it,
@@ -80,12 +83,14 @@ from gvexact.qalgebra import (
     degree_denominator,
     qfactorial,
     qfactorial_over,
+    qbinomial,
     qnum,
     qnum_product,
     t_k_qratio,
     to_t_poly,
 )
 from gvexact.schur_vertex import matrix_element_char, w_numerator
+from gvexact.series import DegreeSeries, degree_vectors, downward_closure, z_numerator
 
 
 def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -369,6 +374,38 @@ def z_numerator_tuples(gamma, d) -> QLaurent:
             term = term * w_numerator(lams[i], lams[(i + 1) % r])
         total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
     return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
+
+
+def every_degree_series(gamma, max_total, degrees=None):
+    """(Z, log Z) as series with no symmetry, computed at every kept degree:
+    the full-box computation that the engine replaced by one computation per
+    orbit of gamma's `stabilizer`.  ZN_d is `z_numerator` at every degree,
+    and FN_d = |d| ZN_d - sum_{0<e<d} FN_e ZN_(d-e) prod_i qbinom(d_i, e_i)^2
+    is summed over the whole box below d in plain QLaurent arithmetic, keyed
+    by the degree itself.  `integrality_report` on the log then gives the
+    report of every degree."""
+    r = len(gamma)
+    support = None if degrees is None else downward_closure(degrees)
+    kept = [d for d in degree_vectors(r, max_total) if support is None or d in support]
+    zn = {d: z_numerator(gamma, d) for d in kept}
+    fn = {}
+    for d in kept:  # graded order: the box below d is done
+        total = zn[d] * QLaurent.const(sum(d))
+        for e in itertools.product(*(range(x + 1) for x in d)):
+            if e in fn:
+                term = fn[e] * zn[tuple(a - b for a, b in zip(d, e))]
+                for di, ei in zip(d, e):
+                    b = qbinomial(di, ei)
+                    term = term * b * b
+                total = total - term
+        fn[d] = total
+    zs = DegreeSeries(r, max_total, support)
+    zs.constant = QRatio.one()
+    fs = DegreeSeries(r, max_total, support, weighted=True)
+    for d in kept:
+        zs.set_numerator(d, zn[d])
+        fs.set_numerator(d, fn[d])
+    return zs, fs
 
 
 def z_coefficient_matrix_rsets(gamma, d) -> QRatio:

@@ -92,13 +92,14 @@ def log_oracle(z: DegreeSeries) -> dict:
     out = {}
     weighted = {}  # |e| F_e
     for d in degree_vectors(z.r, z.max_total):
-        if not z._keeps(d):
+        try:
+            acc = z.get(d) * sum(d)  # every kept degree, not one per orbit
+        except KeyError:
             continue
-        acc = z.get(d) * sum(d)
         for e, fe in weighted.items():
             rest = tuple(a - b for a, b in zip(d, e))
-            if min(rest) >= 0 and rest in z.coefficients:
-                acc = acc - fe * z.coefficients[rest]
+            if min(rest) >= 0:  # below a kept d, so kept; a zero Z adds nothing
+                acc = acc - fe * z.get(rest)
         if not acc.is_zero():
             weighted[d] = acc
             out[d] = acc / sum(d)
@@ -191,8 +192,11 @@ def test_reports_reduce_no_coefficient():
         assert integrality_report(PRESETS["P2"], d, fs).integral
     assert not zs._ratios and not fs._ratios
     d = (2, 1, 0)
-    assert fs.get(d) == QRatio(fs.numerators[d], degree_denominator(d) * QLaurent.const(3))
-    assert list(fs._ratios) == [d] and fs.get(d) is fs._ratios[d]
+    assert fs.get(d) == QRatio(fs.numerator(d), degree_denominator(d) * QLaurent.const(3))
+    # one ratio, cached on d's orbit representative, for every degree of the orbit
+    assert list(fs._ratios) == [fs.key(d)] and fs.get(d) is fs._ratios[fs.key(d)]
+    assert all(fs.get(e) is fs.get(d) for e in itertools.permutations(d))
+    assert len(fs._ratios) == 1
 
 
 def test_strict_coefficient_lookup():
