@@ -1,8 +1,8 @@
 """Property suites behind `gv verify`: each suite re-derives a family of
 identities at a fixed scale and reports pass/fail.
 
-The same functions back the pytest suite; only the pole-structure suites take
-their scales as arguments (the graph-based paths grow exponentially with them).
+The same functions back the pytest suite; only the pole-structure suite takes
+its scales as arguments (the graph-based paths grow exponentially with them).
 """
 
 from __future__ import annotations
@@ -259,12 +259,11 @@ def suite_exp_formula() -> str:
     return f"exponential formula at {count} coefficients"
 
 
-def suite_free_energy_poles(
-    cases=((PRESETS["P2"], 6), (PRESETS["F0"], 4), (PRESETS["F1"], 4), ((0, -2), 6)),
-) -> str:
+def suite_free_energy_poles() -> str:
     """The reduced denominator of every F_d of log Z, read once per orbit of
     gamma's symmetry (every other degree of the orbit has the same F_d), is
     c x^s prod Phi_j^e with j | 2 gcd(d) and e <= 2 (`check_free_energy_poles`)."""
+    cases = ((PRESETS["P2"], 6), (PRESETS["F0"], 4), (PRESETS["F1"], 4), ((0, -2), 6))
     checked = degrees = 0
     for gamma, cap in cases:
         fs = build_z_series(gamma, cap).log()

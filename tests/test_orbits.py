@@ -113,6 +113,9 @@ def test_z_and_log_are_computed_once_per_orbit(monkeypatch, gamma, cap, orbits):
 @pytest.mark.parametrize("gamma, matrix_cap, graph_cap", [
     (PRESETS["P2"], 4, 3),
     (PRESETS["F0"], 4, 3),
+    (PRESETS["B3"], 4, 3),  # order 12, with reflections
+    (PRESETS["F1"], 5, 3),
+    (PRESETS["B2"], 5, 3),
     ((1, 1), 5, 3),
 ], ids=str)
 def test_cross_check_paths_are_invariant_under_the_stabilizer(gamma, matrix_cap, graph_cap):
