@@ -17,6 +17,7 @@ from gvexact.qalgebra import (
     QLaurent,
     QRatio,
     RPoly,
+    _phi_factors,
     degree_denominator,
     qnum,
     to_t_poly,
@@ -91,6 +92,24 @@ def _mobius_cofactor(d: tuple[int, ...], m: int) -> QLaurent:
     return out
 
 
+def pole_violation(d: tuple[int, ...], f: QRatio) -> str:
+    """The empty string when the reduced denominator of f = F_d is
+    c x^s prod Phi_j^e with j | 2 gcd(d) and e <= 2, the paper's pole
+    structure; otherwise the first Phi_j^e that breaks it, as a message."""
+    k = 2 * math.gcd(*d)
+    for j, e in _phi_factors(f.den):
+        if k % j or e > 2:
+            return f"F_{d} has the pole Phi_{j}^{e}; need j | {k}, e <= 2"
+    return ""
+
+
+def _rejected(gamma, d, fs, poly: RPoly | None, why: str) -> GvReport:
+    """A non-integral report whose notes say which half failed: F_d's pole
+    structure, or, with that holding, integrality itself."""
+    half = pole_violation(d, fs.get(d)) or "F_d has the pole structure, so integrality failed"
+    return GvReport(gamma, d, poly, False, notes=f"{why}; {half}")
+
+
 def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvReport:
     """Compute t*G_d from the free-energy series `fs` (the weighted series
     of `DegreeSeries.log`), decide Z[t] membership, extract the integer table.
@@ -103,7 +122,8 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
     / |d| is one exact division.  D_d has leading coefficient 1, so the
     division succeeds exactly when t*G_d is a Laurent polynomial; when it
     fails the verdict is "not in Q[t]".  A degree outside the computed range
-    of `fs` is a KeyError."""
+    of `fs` is a KeyError.  A rejected degree's notes also say whether F_d
+    breaks the pole structure (`pole_violation`) or integrality failed alone."""
     if not any(d):
         raise ValueError("degree must be nonzero")
     if not fs.weighted:
@@ -118,17 +138,14 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
     try:
         tg = (total * T_ONE).divide_exact(degree_denominator(d))
     except ValueError:
-        return GvReport(gamma, d, None, False,
-                        notes="t*G not in Q[t]: nontrivial denominator after reduction")
+        return _rejected(gamma, d, fs, None,
+                         "t*G not in Q[t]: nontrivial denominator after reduction")
     try:
         poly = to_t_poly(QRatio(tg, QLaurent.const(sum(d))))
     except NotSymmetricInT as exc:
-        return GvReport(gamma, d, None, False, notes=f"t*G not in Q[t]: {exc}")
-    integral = poly.is_integral()
-    gv_numbers: list[tuple[int, int]] = []
-    if integral:  # the numerators are the coefficients
-        for gi, c in enumerate(poly.nums):
-            if c:
-                gv_numbers.append((gi, -c if gi % 2 == 0 else c))  # (-1)^(g-1)
-    notes = "" if integral else "t*G has a non-integer coefficient"
-    return GvReport(gamma, d, poly, integral, gv_numbers, notes)
+        return _rejected(gamma, d, fs, None, f"t*G not in Q[t]: {exc}")
+    if not poly.is_integral():
+        return _rejected(gamma, d, fs, poly, "t*G has a non-integer coefficient")
+    # the numerators are the coefficients; the genus-g number is (-1)^(g-1) times them
+    gv_numbers = [(gi, -c if gi % 2 == 0 else c) for gi, c in enumerate(poly.nums) if c]
+    return GvReport(gamma, d, poly, True, gv_numbers)

@@ -5,7 +5,9 @@ Exponents are stored as integers counting units of 1/2 (so the q-power k
 lives at exponent 2k).  Laurent polynomials have integer coefficients; every
 rational value, constants included, is a QRatio of two of them, and the t-
 and y-images are polynomials over Q, kept as integer numerators over one
-denominator (RPoly).  No floating point ever enters.
+denominator (RPoly).  Membership of an image in Q[t] and in Z[t] is decided
+on the Laurent numerator alone; the integer numerators of the image are
+built only when first read.  No floating point ever enters.
 Ratios are reduced over the cyclotomic factors Phi_j of their denominators,
 with no polynomial gcd.  Pole extraction works by exact polynomial remainder
 arithmetic modulo t_k, never by evaluating at roots of unity.
@@ -605,10 +607,12 @@ class RPoly:
     Serves for both the t- and the y-images; the variable is bookkeeping at
     the call sites.  The form is canonical, so == and hash use (nums, den),
     and `is_integral` is den == 1.  A Fraction is built only when a
-    coefficient is read (`coeffs`, `[]`), as the arithmetic does.
+    coefficient is read (`coeffs`, `[]`), as the arithmetic does.  An image
+    from `to_t_poly` or `to_y_poly` knows its den at once and builds `nums`
+    from its Laurent numerator on first read (`_image_nums`).
     """
 
-    __slots__ = ("nums", "den")
+    __slots__ = ("_nums", "den", "_src")
 
     def __init__(self, coeffs=(), den: int = 1):
         """sum_i coeffs[i] t^i / den for rational coeffs and an integer den > 0."""
@@ -619,8 +623,14 @@ class RPoly:
             nums.pop()
         den *= lcm
         g = math.gcd(den, *nums)
-        self.nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
+        self._nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
         self.den = den // g
+
+    @property
+    def nums(self) -> tuple[int, ...]:
+        if self._nums is None:
+            self._nums = _image_nums(*self._src)
+        return self._nums
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -726,12 +736,14 @@ def t_k_in_t(k: int) -> RPoly:
 
 def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
     """Symmetric numerator with exponents in step*Z over a constant
-    denominator -> polynomial (t or y).
+    denominator -> polynomial (t or y), with `nums` left unbuilt.
 
-    Each pair x^e + x^-e with e = m*step is 2 + t_m, and t_m is t_k_in_t(m)
-    in the target variable (t for step 2, y for step 1).  The image is the
-    integer image of the numerator over the (positive) denominator, with no
-    Fraction per coefficient."""
+    Each pair x^e + x^-e with e = m*step is 2 + t_m, and t_m is monic in Z[t]
+    (t for step 2, y for step 1), so the basis change to powers of t is
+    unitriangular over Z and the image has the numerator's content.  f is
+    reduced, so that content is prime to the constant den, and the image
+    over den is already reduced: membership and `is_integral` need only
+    these O(E) checks, never the O(E^2) build."""
     if not f.is_laurent():
         raise NotSymmetricInT("nontrivial denominator after reduction")
     p = f.num
@@ -739,7 +751,17 @@ def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
         raise NotSymmetricInT("not invariant under q -> 1/q")
     if any(e % step for e in p.coeffs):
         raise NotSymmetricInT("exponent parity does not match the target ring")
-    out = [0] * (max(p.coeffs, default=0) // step + 1)
+    out = RPoly.__new__(RPoly)
+    out._nums, out._src, out.den = None, (p, step), f.den.coeffs[0]
+    return out
+
+
+def _image_nums(p: QLaurent, step: int) -> tuple[int, ...]:
+    """The integer coefficients of the image of p, with no Fraction; the
+    top one is p's leading coefficient, so only zero needs trimming."""
+    if not p:
+        return ()
+    out = [0] * (max(p.coeffs) // step + 1)
     for e, c in p.coeffs.items():
         if e == 0:
             out[0] += c
@@ -747,7 +769,7 @@ def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
             out[0] += 2 * c
             for j, a in enumerate(_t_k_coeffs(e // step)):
                 out[j] += a * c
-    return RPoly(out, f.den.coeffs[0])
+    return tuple(out)
 
 
 def to_t_poly(f: QRatio) -> RPoly:

@@ -363,8 +363,11 @@ class DegreeSeries:
         prod_i qbinom(d_i, e_i)^2.  Only the orbit representatives are
         computed, in graded order, so the representative of every e in the
         box below d, which `key` finds inside the downward-closed support, is
-        done before d.  The result is the weighted series of the FN_d, with
-        this series' symmetry; nothing is reduced here.
+        done before d.  The index permutations of the symmetry that fix d
+        itself permute the box below d and fix each term, so each class of e
+        under them is summed once, times the class size.  The result is the
+        weighted series of the FN_d, with this series' symmetry; nothing is
+        reduced here.
         """
         if self.weighted or self.constant != QRatio.one():
             raise ValueError("log needs an unweighted series with constant term 1")
@@ -374,16 +377,26 @@ class DegreeSeries:
         for d in self.representatives():
             n = -sum(d)
             acc = {e: v * n for e, v in zn.get(d, QLaurent.zero()).coeffs.items()}
+            # d's own stabilizer maps the box below d onto itself and fixes
+            # each term, so each class of e is summed once, times its size
+            fix = [s for s in self.symmetry if all(d[j] == x for j, x in zip(s, d))]
             # -FN_d; the box below d, kept as the support is downward
             # closed, where neither 0 nor d itself is in fn
             for e in itertools.product(*(range(x + 1) for x in d)):
                 fe = fn.get(keys.get(e, e))
                 if fe is None:
                     continue
+                size = 1
+                if len(fix) > 1:
+                    cls = {tuple(e[j] for j in s) for s in fix}
+                    if min(cls) != e:
+                        continue
+                    size = len(cls)
                 de = tuple(a - b for a, b in zip(d, e))
                 rest = zn.get(keys.get(de, de))
                 if rest is not None:
-                    _mul_add(acc, fe * rest, _cofactor(d, e))
+                    term = fe * rest if size == 1 else fe * rest * QLaurent.const(size)
+                    _mul_add(acc, term, _cofactor(d, e))
             fd = QLaurent({e: -v for e, v in acc.items()})
             if fd:
                 fn[d] = fd

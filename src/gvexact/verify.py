@@ -29,7 +29,7 @@ from gvexact.graph_engine import (
     tree_type,
     vev_graphs,
 )
-from gvexact.gv import PRESETS, mobius
+from gvexact.gv import PRESETS, mobius, pole_violation
 from gvexact.partitions import (
     enumerate_partitions,
     enumerate_rsets,
@@ -42,7 +42,6 @@ from gvexact.qalgebra import (
     NotSymmetricInT,
     QRatio,
     RPoly,
-    _phi_factors,
     pole_extract,
     qnum,
     qnum_product,
@@ -276,9 +275,8 @@ def suite_free_energy_poles() -> str:
 
 def check_free_energy_poles(d: tuple[int, ...], f: QRatio) -> None:
     """F_d has poles only at the Phi_j with j | 2 gcd(d), each of order <= 2."""
-    k = 2 * math.gcd(*d)
-    for j, e in _phi_factors(f.den):
-        _check(k % j == 0 and e <= 2, f"F_{d} has the pole Phi_{j}^{e}; need j | {k}, e <= 2")
+    bad = pole_violation(d, f)
+    _check(not bad, bad)
 
 
 def suite_pole_structure(
@@ -288,7 +286,7 @@ def suite_pole_structure(
 ) -> str:
     """Per-tree pole decompositions with the g_T scaling law up to
     `max_weight`, and the pole structure of every connected combined forest
-    to |d| <= 3 over `gammas`.  For each k in `scales`, forests of cycle rank
+    to |d| <= 4 over `gammas`.  For each k in `scales`, forests of cycle rank
     0 over primitive r-sets also get the scaled-amplitude law for H(W_(k))
     and the t-integrality of g_k(W); `gv verify` checks k = 2, 3."""
     trees = 0
@@ -321,7 +319,7 @@ def suite_pole_structure(
     combined = scaled = 0
     for gamma in gammas:
         r = len(gamma)
-        for d in degree_vectors(r, 3):
+        for d in degree_vectors(r, 4):
             for rs in enumerate_rsets(r, d):
                 for w in enumerate_combined_forests(rs, gamma, connected_only=True):
                     beta = w.cycle_rank()

@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gvexact.gv import PRESETS, divisors, integrality_report, mobius
-from gvexact.qalgebra import QRatio, RPoly, t_k_qratio
+from gvexact.gv import PRESETS, divisors, integrality_report, mobius, pole_violation
+from gvexact.qalgebra import QLaurent, QRatio, RPoly, qnum, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
 from oracles import g_of_d, integrality_report_oracle, mobius_sum
 
@@ -156,6 +156,10 @@ def test_non_integral_verdicts():
             assert rep.integral is False and rep.g_poly is None, d
             assert rep.notes.startswith("t*G not in Q[t]")
             assert rep.to_json_obj()["t_times_G"] == []
+        # F_(2,0) = 1/[2]^2 (poles Phi_j^2 with j | 4) and F_(1,0) = x keep
+        # the pole structure, so the verdict blames integrality
+        assert integrality_report((0, 0), d, fs).notes.endswith(
+            "; F_d has the pole structure, so integrality failed")
     # a hand-built free energy F_(1,1) = 1/2 gives t*G = t/2
     # (FN_(1,1) = |d| F_(1,1) D_(1,1) = [1]^4)
     half = DegreeSeries(2, 2, weighted=True)
@@ -164,6 +168,24 @@ def test_non_integral_verdicts():
                 integrality_report_oracle((0, 0), (1, 1), half.get)):
         assert rep.integral is False and rep.g_poly == RPoly([0, Fraction(1, 2)])
         assert rep.gv_numbers == [] and rep.to_json_obj()["t_times_G"] == ["0", "1/2"]
+    assert integrality_report((0, 0), (1, 1), half).notes == (
+        "t*G has a non-integer coefficient; F_d has the pole structure, so integrality failed")
+
+
+def test_non_integral_verdict_names_the_broken_pole():
+    # a hand-built F_(3,1) = 1/[3]^2 has the poles Phi_3^2 and Phi_6^2 at
+    # gcd(d) = 1, where only Phi_1 and Phi_2 may appear; the first is named
+    # (FN_(3,1) = |d| F_(3,1) D_(3,1) = 4 [1]^4 [2]^2)
+    fs = DegreeSeries(2, 4, weighted=True)
+    fs.set_numerator((3, 1), qnum(1) * qnum(1) * qnum(1) * qnum(1) * qnum(2) * qnum(2)
+                     * QLaurent.const(4))
+    assert fs.get((3, 1)) == QRatio.one() / t_k_qratio(3)
+    broken = "F_(3, 1) has the pole Phi_3^2; need j | 2, e <= 2"
+    assert pole_violation((3, 1), fs.get((3, 1))) == broken
+    rep = integrality_report((0, 0), (3, 1), fs)
+    assert rep.integral is False and rep.g_poly is None
+    assert rep.notes == "t*G not in Q[t]: nontrivial denominator after reduction; " + broken
+    assert pole_violation((3, 1), QRatio.const(Fraction(1, 2))) == ""
 
 
 def test_report_refuses_degrees_outside_the_series():

@@ -3,6 +3,8 @@ symmetry (`series.stabilizer`), against the computation at every degree
 vector (`oracles.every_degree_series`), and the invariance under the
 stabilizer of the cross-check paths that `gv compute` runs once per orbit."""
 
+import itertools
+
 import pytest
 
 from gvexact import series
@@ -108,6 +110,34 @@ def test_z_and_log_are_computed_once_per_orbit(monkeypatch, gamma, cap, orbits):
     assert set(zs.numerators) <= set(calls) and set(fs.numerators) <= set(calls)
     if len(stabilizer(gamma)) == 1:
         assert calls == degrees
+
+
+@pytest.mark.parametrize("gamma, cap", [(PRESETS["P2"], 7), (PRESETS["F1"], 5)], ids=str)
+def test_log_sums_each_class_of_the_box_once(monkeypatch, gamma, cap):
+    # where d has a nontrivial stabilizer of its own (P2's (1,1,1), F1's
+    # (1,0,1,0)), e and its images under it give one product, times the class size
+    zs = build_z_series(gamma, cap)
+    products = []
+    real = series._mul_add
+
+    def counting(acc, a, b, shift=0):
+        products.append(1)
+        real(acc, a, b, shift)
+
+    monkeypatch.setattr(series, "_mul_add", counting)
+    fs = zs.log()
+    box = classes = 0
+    for d in zs.representatives():
+        fix = [s for s in stabilizer(gamma) if image(d, s) == d]
+        for e in itertools.product(*(range(x + 1) for x in d)):
+            de = tuple(a - b for a, b in zip(d, e))
+            if 0 < sum(e) < sum(d) and fs.numerator(e) and zs.numerator(de):
+                box += 1
+                classes += e == min(image(e, s) for s in fix)
+    assert len(products) == classes < box
+    _, f_all = every_degree_series(gamma, cap)
+    for d in degree_vectors(len(gamma), cap):
+        assert fs.numerator(d) == f_all.numerator(d), d
 
 
 @pytest.mark.parametrize("gamma, matrix_cap, graph_cap", [

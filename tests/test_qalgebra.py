@@ -612,7 +612,14 @@ def test_images_match_fraction_oracle(f):
             with pytest.raises(NotSymmetricInT):
                 image(f)
             continue
-        new = image(f)
+        new, read = image(f), image(f)
+        # den and the verdict are known before any coefficient is built
+        assert new._nums is None
+        assert new.den == math.lcm(*(c.denominator for c in old.coeffs))
+        assert new.is_integral() == old.is_integral() and new._nums is None
+        # an unread image hashes as a read one and equals it
+        assert read.nums == read._nums  # the first read builds and keeps them
+        assert hash(new) == hash(read) and new == read and read == new
         assert same_poly(new, old)
         assert math.gcd(new.den, *new.nums) == 1 and new.den > 0
 
