@@ -28,9 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from gvexact.gv import divisors, mobius
+from gvexact.gv import divisors
 from gvexact.partitions import Partition, RSet, union
-from gvexact.qalgebra import QRatio, pole_extract, qnum_ratio, qnum_sum
+from gvexact.qalgebra import QRatio, mobius, pole_extract, qnum_ratio, qnum_sum
 
 # A node is a nested tuple:
 #   ("L", index, c, n)                      original operator (a leaf)
@@ -371,9 +371,18 @@ def _lambda_leaf_positions(
 
 def enumerate_combined_forests(
     rset: RSet, gamma: tuple[int, ...], connected_only: bool = False
-) -> list[CombinedForest]:
+) -> tuple[CombinedForest, ...]:
     """All combined forests over the r-set: choose a VEV forest per slot and
-    join the paired lambda leaves by bridges."""
+    join the paired lambda leaves by bridges.  Memoized on (rset, gamma,
+    connected_only), so each forest and its cached walk are built once per
+    process: the tuple is shared, and callers read it and never change it."""
+    return _combined_forests(rset, tuple(gamma), connected_only)
+
+
+@lru_cache(maxsize=None)
+def _combined_forests(
+    rset: RSet, gamma: tuple[int, ...], connected_only: bool
+) -> tuple[CombinedForest, ...]:
     rset.check()
     r = rset.r
     if len(gamma) != r:
@@ -403,11 +412,11 @@ def enumerate_combined_forests(
     bridges = tuple(bridges)
     out = []
     for combo in itertools.product(*slot_forests):
-        w = CombinedForest(rset, tuple(gamma), tuple(combo), bridges)
+        w = CombinedForest(rset, gamma, tuple(combo), bridges)
         if connected_only and not w.is_connected():
             continue
         out.append(w)
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

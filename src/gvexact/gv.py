@@ -19,6 +19,7 @@ from gvexact.qalgebra import (
     RPoly,
     _phi_factors,
     degree_denominator,
+    mobius,
     qnum,
     to_t_poly,
 )
@@ -30,24 +31,6 @@ PRESETS: dict[str, tuple[int, ...]] = {
     "B2": (0, 0, -1, -1, -1),
     "B3": (-1, -1, -1, -1, -1, -1),
 }
-
-
-def mobius(n: int) -> int:
-    """Classical Mobius function by trial factorization."""
-    if n < 1:
-        raise ValueError("mobius needs n >= 1")
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            n //= p
-            if n % p == 0:
-                return 0
-            out = -out
-        p += 1
-    if n > 1:
-        out = -out
-    return out
 
 
 def divisors(n: int) -> list[int]:

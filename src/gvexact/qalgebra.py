@@ -9,8 +9,12 @@ denominator (RPoly).  Membership of an image in Q[t] and in Z[t] is decided
 on the Laurent numerator alone; the integer numerators of the image are
 built only when first read.  No floating point ever enters.
 Ratios are reduced over the cyclotomic factors Phi_j of their denominators,
-with no polynomial gcd.  Pole extraction works by exact polynomial remainder
-arithmetic modulo t_k, never by evaluating at roots of unity.
+with no polynomial gcd.  One kernel (`_times_phis`) applies every product of
+Phi_j powers, through the binomials Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d);
+a product of two ratios tests each numerator only against the other's
+denominator, and a sum is formed over the lcm of the denominators.  Pole
+extraction works by exact polynomial remainder arithmetic modulo t_k, never by
+evaluating at roots of unity.
 """
 
 from __future__ import annotations
@@ -221,17 +225,58 @@ def qnum(k: int) -> QLaurent:
     return QLaurent({k: 1, -k: -1})
 
 
+def mobius(n: int) -> int:
+    """Classical Mobius function by trial factorization."""
+    if n < 1:
+        raise ValueError("mobius needs n >= 1")
+    out = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    if n > 1:
+        out = -out
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> QLaurent:
-    """The n-th cyclotomic polynomial Phi_n(x): x^n - 1 divided exactly by
-    Phi_j for every proper divisor j of n."""
+    """The n-th cyclotomic polynomial Phi_n(x), from its binomials (`_times_phis`)."""
     if n < 1:
         raise ValueError("cyclotomic needs n >= 1")
-    out = QLaurent({n: 1, 0: -1})
-    for j in range(1, n):
-        if n % j == 0:
-            out = out.divide_exact(cyclotomic(j))
-    return out
+    return _times_phis(QLaurent.one(), ((n, 1),))
+
+
+def _times_phis(p: QLaurent, factors: tuple[tuple[int, int], ...]) -> QLaurent:
+    """p prod Phi_j^e over the (j, e) of factors, e of either sign: p times the
+    binomials of positive net exponent, then divided exactly by the others
+    (`divide_exact`: a ValueError when the quotient is not a Laurent polynomial).
+    Multiplying first keeps that division exact when the whole product is one."""
+    up, down = _binomial_split(factors)
+    if up is not None:
+        p = p * up
+    return p if down is None else p.divide_exact(down)
+
+
+@lru_cache(maxsize=None)
+def _binomial_split(factors: tuple[tuple[int, int], ...]) -> tuple[QLaurent | None, ...]:
+    """(up, down) with prod Phi_j^e = up / down over the (j, e) of factors, through
+    Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d): each binomial x^d - 1, with its
+    exponent netted over the factors, goes up or down.  Both (None when empty) are sparse."""
+    net: dict[int, int] = {}
+    for j, e in factors:
+        for d in range(1, j + 1):
+            if j % d == 0:
+                net[d] = net.get(d, 0) + mobius(j // d) * e
+    out = [QLaurent.one(), QLaurent.one()]  # up, down
+    for d, n in sorted(net.items()):
+        for _ in range(abs(n)):  # a product with x^d - 1: a shift and a subtraction
+            out[n < 0] = out[n < 0] * QLaurent({d: 1, 0: -1})
+    return tuple(None if p.is_one() else p for p in out)
 
 
 @lru_cache(maxsize=None)
@@ -299,15 +344,14 @@ def qnum_sum(terms, num: QLaurent | None = None, memo: bool = True) -> "QRatio":
         total = _laurent({e: v for e, v in acc.items() if v})
     if num is not None:
         total = total * num
+    common = ()
     if len(total.coeffs) > 1:
         common = _common_phis(total, tuple((j, -e) for j, e in low.items() if e < 0))
-        if common:
-            total = total.divide_exact(_phi_power(common))
-            for j, k in common:
-                low[j] += k
-    up = tuple((j, e) for j, e in low.items() if e > 0)
-    if up:
-        total = total * _phi_power(up)
+        for j, k in common:
+            low[j] += k
+    # the Phi_j left up and the common ones divided out, in one call of the kernel
+    total = _times_phis(total, tuple((j, e) for j, e in low.items() if e > 0)
+                        + tuple((j, -k) for j, k in common))
     den = _phi_power(tuple((j, -e) for j, e in low.items() if e < 0))
     return QRatio._coprime(total, den * QLaurent.const(lcm) if lcm > 1 else den)
 
@@ -322,11 +366,7 @@ def _phi_power(factors: tuple[tuple[int, int], ...]) -> QLaurent:
     """prod Phi_j^e over the (j, e) pairs.  Cached: the denominators of
     the degrees of a series and the amplitude products repeat, so a run
     needs only a few dozen distinct products."""
-    out = QLaurent.one()
-    for j, e in factors:
-        for _ in range(e):
-            out = out * cyclotomic(j)
-    return out
+    return _times_phis(QLaurent.one(), factors)
 
 
 def _phi_divides(p: QLaurent, j: int, i: int = 0) -> bool:
@@ -461,10 +501,8 @@ class QRatio:
         if den.is_zero():
             raise ZeroDivisionError("QRatio with zero denominator")
         if num and len(den.coeffs) > 1:
-            common = _common_phis(num, _phi_factors(den))
-            if common:
-                p = _phi_power(common)
-                num, den = num.divide_exact(p), den.divide_exact(p)
+            inverse = tuple((j, -k) for j, k in _common_phis(num, _phi_factors(den)))
+            num, den = _times_phis(num, inverse), _times_phis(den, inverse)
         self._normalize(num, den)
 
     def _normalize(self, num: QLaurent, den: QLaurent) -> None:
@@ -539,10 +577,26 @@ class QRatio:
         return v if isinstance(v, QRatio) else QRatio.const(v)
 
     def __add__(self, other) -> "QRatio":
+        """a/b + c/d over lcm(b, d) = lcm(l_b, l_d) prod Phi_j^max(e_b, e_d): a reduced
+        den is its lead times prod Phi_j^e (`_phi_factors`, cached), as Phi_j is monic."""
         o = QRatio._coerce(other)
-        if self.den == o.den:
-            return QRatio(self.num + o.num, self.den)
-        return QRatio(self.num * o.den + o.num * self.den, self.den * o.den)
+        fb, fd = dict(_phi_factors(self.den)), dict(_phi_factors(o.den))
+        lb, ld = self.den.coeffs[self.den.max_exp()], o.den.coeffs[o.den.max_exp()]
+        lead = math.lcm(lb, ld)
+        top = {j: max(fb.get(j, 0), fd.get(j, 0)) for j in sorted(fb.keys() | fd.keys())}
+        num = QLaurent.zero()
+        for p, f, k in ((self.num, fb, lead // lb), (o.num, fd, lead // ld)):
+            up = tuple((j, e - f.get(j, 0)) for j, e in top.items() if e > f.get(j, 0))
+            p = _times_phis(p, up)
+            num = num + (p * QLaurent.const(k) if k > 1 else p)
+        # a Phi_j that b and d hold to unequal powers divides one term of num only
+        equal = tuple((j, e) for j, e in fb.items() if fd.get(j) == e)
+        common = _common_phis(num, equal) if num else ()
+        num = _times_phis(num, tuple((j, -k) for j, k in common))
+        for j, k in common:
+            top[j] -= k
+        den = _phi_power(tuple((j, e) for j, e in top.items() if e))
+        return QRatio._coprime(num, den * QLaurent.const(lead) if lead > 1 else den)
 
     __radd__ = __add__
 
@@ -557,14 +611,19 @@ class QRatio:
 
     # Both operands are reduced, so a monomial factor (a unit, constants
     # included) cannot create a common factor: those products skip the fold
-    # tests, and only a divisor's numerator, new to a denominator, is factored.
+    # tests.  Otherwise, in a/b c/d only a and d, or c and b, can share a
+    # Phi_j (Knuth, TAOCP vol. 2, 4.5.1): each pair is tested and divided
+    # before the two products are formed.
 
     def __mul__(self, other) -> "QRatio":
         o = QRatio._coerce(other)
-        num, den = self.num * o.num, self.den * o.den
-        if self.is_monomial() or o.is_monomial():
-            return QRatio._coprime(num, den)
-        return QRatio(num, den)
+        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
+        if a and c and not (self.is_monomial() or o.is_monomial()):
+            ad = tuple((j, -k) for j, k in _common_phis(a, _phi_factors(d)))
+            cb = tuple((j, -k) for j, k in _common_phis(c, _phi_factors(b)))
+            a, d = _times_phis(a, ad), _times_phis(d, ad)
+            c, b = _times_phis(c, cb), _times_phis(b, cb)
+        return QRatio._coprime(a * c, b * d)
 
     __rmul__ = __mul__
 
@@ -572,11 +631,9 @@ class QRatio:
         o = QRatio._coerce(other)
         if o.is_zero():
             raise ZeroDivisionError("QRatio division by zero")
-        num, den = self.num * o.den, self.den * o.num
-        if self.is_monomial():
-            _phi_factors(o.num)  # o.num becomes a denominator: refuse it unless cyclotomic
-            return QRatio._coprime(num, den)
-        return QRatio(num, den)
+        inverse = QRatio._coprime(o.den, o.num)
+        _phi_factors(inverse.den)  # o.num becomes a denominator: refuse it unless cyclotomic
+        return self * inverse
 
     def __rtruediv__(self, other) -> "QRatio":
         return QRatio._coerce(other) / self

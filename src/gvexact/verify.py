@@ -18,6 +18,7 @@ from gvexact.characters import (
 )
 from gvexact.graph_engine import (
     amplitude_B,
+    amplitude_counts,
     amplitude_H,
     connected_trees_for,
     enumerate_combined_forests,
@@ -29,7 +30,7 @@ from gvexact.graph_engine import (
     tree_type,
     vev_graphs,
 )
-from gvexact.gv import PRESETS, mobius, pole_violation
+from gvexact.gv import PRESETS, pole_violation
 from gvexact.partitions import (
     enumerate_partitions,
     enumerate_rsets,
@@ -42,9 +43,11 @@ from gvexact.qalgebra import (
     NotSymmetricInT,
     QRatio,
     RPoly,
+    mobius,
     pole_extract,
     qnum,
     qnum_product,
+    qnum_ratio,
     t_k_in_t,
     t_k_qratio,
     to_t_poly,
@@ -339,27 +342,31 @@ def suite_pole_structure(
                         )
                     combined += 1
                     if beta == 0 and rs.parts_gcd() == 1:
-                        scaled += _check_scaled_forest(w, h, gamma, scales)
+                        scaled += _check_scaled_forest(w, gamma, scales)
     return f"pole data on {trees} trees, {combined} combined forests ({scaled} scaled checks)"
 
 
-def _check_scaled_forest(w, h: QRatio, gamma, scales) -> int:
+def _check_scaled_forest(w, gamma, scales) -> int:
     """H(W_(k)) = k^(l-1) H(W)(q^k) times (1 + t_{mk/2}/2) per type-I tree
     (and the sign of gamma.d) for even k, up to Z[t]; g_k(W) has at most
-    the t pole for k = 2 and none above."""
+    the t pole for k = 2 and none above.  As 1 + t_n/2 = [4n] / (2 [2n]), the
+    reference is one q-number exponent vector (`qnum_ratio`)."""
     rs = w.rset
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
     odd = sum(g * x for g, x in zip(gamma, rs.degree())) % 2
     type_one = [tree_type(t)[0] for _, _, t in w.trees() if tree_type(t)[2] == "I"]
     for k in scales:
-        ref = h.substitute_power(k) * (k**expo)
+        const, counts = amplitude_counts(w, 1, k)  # H(W)(q^k)
+        const *= k**expo
         if k % 2 == 0:
             for m in type_one:
-                ref = ref * (QRatio.one() + t_k_qratio(m * k // 2) * Fraction(1, 2))
+                const = Fraction(const, 2)
+                counts[2 * m * k] = counts.get(2 * m * k, 0) + 1
+                counts[m * k] = counts.get(m * k, 0) - 1
             if odd:
-                ref = -ref
-        diff = try_to_t_poly(amplitude_H(scale_forest(w, k)) - ref)
+                const = -const
+        diff = try_to_t_poly(amplitude_H(scale_forest(w, k)) - qnum_ratio(const, counts))
         _check(diff is not None and diff.is_integral(), f"scaling law k={k} at {rs}")
         gkw = g_k_of_w(w, k)
         _check(try_to_t_poly(gkw * t_k_qratio(1)) is not None, f"t*g_{k} pole at {rs}")

@@ -39,6 +39,14 @@ Fraction per coefficient, and the image and pole extraction built on it,
 against `RPoly`'s integer numerators over one denominator; and D_d as one
 product chain over d, against the engine's D_d cached on the shape of d.
 
+The cyclotomic arithmetic that the binomial kernel (`qalgebra._times_phis`)
+replaced is kept the same way: Phi_n as x^n - 1 divided by Phi_j for each
+proper divisor j in turn (`cyclotomic_oracle`), a product of Phi_j powers
+built one factor at a time (`phi_power_oracle`), and the QRatio product and
+sum that reduce the whole product of two reduced ratios again
+(`ratio_mul_oracle`, `ratio_add_oracle`), against the kernel's binomials and
+the cross-cancelled products and sums over the lcm.
+
 Helpers that only the tests use live here too, not in the package: the
 conjugate partition, and the canonical form of a VEV forest without leaf
 indices (`strip_indices`, `forest_canonical`) that groups forests into
@@ -50,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from gvexact.characters import mn_character
 from gvexact.graph_engine import (
@@ -628,3 +637,40 @@ def pole_extract_oracle(f: QRatio, k: int, mode: str = "plain"):
     if rh * g != rp:
         raise NoSuchDecomposition("modular remainder not proportional to 1 + t_{k/2}/2")
     return g, (p - half_y * g).divide_exact(tk_y)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_oracle(n: int) -> QLaurent:
+    """Phi_n(x): x^n - 1 divided exactly by Phi_j for every proper divisor j of n."""
+    if n < 1:
+        raise ValueError("cyclotomic needs n >= 1")
+    out = QLaurent({n: 1, 0: -1})
+    for j in range(1, n):
+        if n % j == 0:
+            out = out.divide_exact(cyclotomic_oracle(j))
+    return out
+
+
+def phi_power_oracle(factors) -> QLaurent:
+    """prod Phi_j^e over the (j, e) pairs, e >= 0, one factor at a time."""
+    out = QLaurent.one()
+    for j, e in factors:
+        for _ in range(e):
+            out = out * cyclotomic_oracle(j)
+    return out
+
+
+def ratio_mul_oracle(a: QRatio, b: QRatio) -> QRatio:
+    """a b with the whole product reduced again, unless a factor is a monomial."""
+    num, den = a.num * b.num, a.den * b.den
+    if a.is_monomial() or b.is_monomial():
+        return QRatio._coprime(num, den)
+    return QRatio(num, den)
+
+
+def ratio_add_oracle(a: QRatio, b: QRatio) -> QRatio:
+    """a + b over the product of the denominators (over one of them when
+    they are equal), reduced again."""
+    if a.den == b.den:
+        return QRatio(a.num + b.num, a.den)
+    return QRatio(a.num * b.den + b.num * a.den, a.den * b.den)

@@ -131,6 +131,18 @@ def test_figure2_connected_rank_zero():
         assert amplitude_H(w) == -(ONE / T)
 
 
+def test_combined_forests_are_enumerated_once_per_key():
+    # memoized: a repeated call (a list gamma included) returns the same tuple,
+    # so each forest and its cached walk are built once
+    rs = _figure2_rset()
+    ws = enumerate_combined_forests(rs, (-1, -1, -1))
+    assert isinstance(ws, tuple)
+    assert enumerate_combined_forests(rs, [-1, -1, -1], False) is ws
+    connected = enumerate_combined_forests(rs, (-1, -1, -1), connected_only=True)
+    assert connected is enumerate_combined_forests(rs, (-1, -1, -1), True)
+    assert connected == tuple(w for w in ws if w.is_connected())
+
+
 def test_bridge_count_matches_lambda_length():
     rs = _figure2_rset()
     for w in enumerate_combined_forests(rs, (-1, -1, -1)):
@@ -229,7 +241,8 @@ def test_memoized_ratios_are_not_changed_by_the_pole_checks():
     ratios += [amplitude_H(w) for w in forests]
     ratios += [g_k_of_w(w, k) for w in forests for k in (2, 3)]
     saved = [(dict(f.num.coeffs), dict(f.den.coeffs)) for f in ratios]
-    assert suite_pole_structure().startswith("pole data")
+    assert suite_pole_structure() == ("pole data on 73 trees, 933 combined forests "
+                                      "(1552 scaled checks)")
     again = [t_k_qratio(k) for k in range(1, 4)]
     again += [amplitude_H(w) for w in forests]
     again += [g_k_of_w(w, k) for w in forests for k in (2, 3)]
