@@ -47,7 +47,7 @@ class QLaurent:
     any other coefficient is a ValueError.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: dict[int, int] | None = None):
         c = {}
@@ -58,7 +58,7 @@ class QLaurent:
                     if n != v:
                         raise ValueError(f"QLaurent coefficient {v} is not an integer")
                     c[e] = n
-        self.coeffs = c
+        self.coeffs, self._hash = c, None
 
     # -- constructors -------------------------------------------------------
 
@@ -96,7 +96,9 @@ class QLaurent:
         return isinstance(other, QLaurent) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
+        if self._hash is None:
+            self._hash = hash(frozenset(self.coeffs.items()))
+        return self._hash
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -197,7 +199,7 @@ class QLaurent:
 def _laurent(c: dict[int, int]) -> QLaurent:
     """Wrap a dict that already maps exponents to nonzero ints."""
     out = QLaurent.__new__(QLaurent)
-    out.coeffs = c
+    out.coeffs, out._hash = c, None
     return out
 
 

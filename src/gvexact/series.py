@@ -10,14 +10,15 @@ denominator D_d = prod_i [d_i]!^2 of each degree, with no polynomial gcd.  A
 series keeps only the numerators and reduces a coefficient to a QRatio the
 first time it is read.  D_d is a product of cyclotomic polynomials Phi_j, so
 a coefficient is reduced over the cyclotomic factors of its denominator
-(`qalgebra.qnum_ratio`), again with no polynomial gcd.  The graphs path
-adds the q-number exponent vectors of every combined forest's amplitude
-over one common cyclotomic denominator and reduces the sum once
-(`qalgebra.qnum_sum`), with no QRatio arithmetic.  The def and matrix paths
-share one framed cyclic trace over the intermediate Fock states (`_trace`),
-of W numerators framed by gamma, or of transfer matrices memoized per slot
-and shared across degrees and gammas.  What a degree's shape fixes is built
-once per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the sorted
+(`qalgebra.qnum_ratio`), again with no polynomial gcd.  The graphs path adds
+the q-number exponent vectors of every combined forest's amplitude over one
+common cyclotomic denominator and reduces the sum once (`qalgebra.qnum_sum`),
+with no QRatio arithmetic.  The def and matrix paths share one framed cyclic
+trace over the intermediate Schur states (`_trace`): of W numerators framed
+by gamma, or of Gram matrices G(d_i, d_(i+1)) built from characters and power
+sums, framed by gamma + 2 and memoized on the pair (d_i, d_(i+1)) alone, so
+shared across degrees and gammas.  What a degree's shape fixes is built once
+per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the sorted
 (d_i, e_i) pairs, and D_d (`qalgebra.degree_denominator`) on the sorted
 nonzero d_i.  The t-images read from these coefficients are integer
 numerators over one denominator (`qalgebra.RPoly`).
@@ -37,19 +38,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
+from gvexact.characters import mn_character
 # amplitude_H is unused here but stays importable: perfbench/worker.py's traced runs wrap it
 from gvexact.graph_engine import amplitude_H  # noqa: F401
 from gvexact.graph_engine import amplitude_counts, enumerate_combined_forests
 from gvexact.partitions import (
-    Partition,
     enumerate_partitions,
     enumerate_rsets,
     kappa,
     union,
-    weight,
     z_factor,
 )
 from gvexact.qalgebra import (
@@ -61,7 +62,7 @@ from gvexact.qalgebra import (
     qnum_ratio,
     qnum_sum,
 )
-from gvexact.schur_vertex import matrix_element_char, w_numerator
+from gvexact.schur_vertex import w_numerator
 
 
 def degree_vectors(r: int, max_total: int):
@@ -125,22 +126,17 @@ def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
 
 
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
-    """The same coefficient as the cyclic trace tr(T_1 ... T_r) of the
-    `transfer_matrix` of each slot, summed over the intermediate Fock states
-    lambda^i of the vertex-operator product: the framed trace (`_trace`) of
-    the def path with no framing, since T_i holds slot i's q^(F2) itself.
-
-    Slot i carries d_i!^2 times its 1 / ([mu^i] [nu^i] z(mu^i) z(nu^i)
-    z(lambda^i)), so the trace is one integer sum over the common
-    denominator D_d prod_i d_i!^2, reduced over the cyclotomic factors of
-    D_d."""
+    """The same coefficient as the Fock-space trace of the vertex-operator
+    product in the Schur basis, where q^(a F2), a = gamma_i + 2, is diagonal:
+    slot i of the power-sum-basis trace is T_i = L X_i R with X_i = diag
+    x^(a kappa(rho)), rho |- d_i, so by cyclicity the trace is the framed
+    `_trace` of the Gram matrices G(d_i, d_(i+1)) = R L / (d_i! d_(i+1)!)
+    (`gram_matrix`).  The d_i!^2 of each slot cancel against that division,
+    so the trace is ZN_d itself, reduced over the cyclotomic factors of D_d."""
     _check_degree(gamma, d)
     r = len(gamma)
-    caps = [min(d[i - 1], d[i]) for i in range(r)]  # |lambda^i| <= caps[i]
-    mats = [transfer_matrix(d[i], gamma[i] + 2, caps[i], caps[(i + 1) % r])
-            for i in range(r)]
-    scale = math.prod(math.factorial(di) ** 2 for di in d)
-    return qnum_ratio(Fraction(1, scale), degree_counts(d), _trace(gamma, d, mats, (0,) * r))
+    mats = [gram_matrix(d[i], d[(i + 1) % r]) for i in range(r)]
+    return qnum_ratio(1, degree_counts(d), _trace(gamma, d, mats, tuple(g + 2 for g in gamma)))
 
 
 def _trace(gamma: tuple[int, ...], d: tuple[int, ...], mats: list[dict],
@@ -168,52 +164,49 @@ def _trace(gamma: tuple[int, ...], d: tuple[int, ...], mats: list[dict],
 
 
 @lru_cache(maxsize=None)
-def _states(cap: int) -> tuple[Partition, ...]:
-    """Every partition of weight at most cap."""
-    return tuple(p for n in range(cap + 1) for p in enumerate_partitions(n))
-
-
-@lru_cache(maxsize=None)
-def transfer_matrix(di: int, a: int, lo: int, hi: int) -> dict:
-    """T[lambda][lambda'] for one slot of degree di and framing
-    q^(a F2), a = gamma_i + 2: rows |lambda| <= lo, columns |lambda'| <= hi,
-    zero entries left out.  See `transfer_entry`.  Memoized like its entries,
-    so the dicts are shared: callers read them and never change them."""
+def _slot_sums(n: int, k: int) -> dict:
+    """{lam: {rho: R_n[rho][lam]}} for lam |- k <= n and rho |- n, zero
+    entries left out: R_n[rho][lam] = sum over nu |- n - k of (-1)^l(nu)
+    n!/z(nu) [n]!/[nu] chi^rho(nu u lam), where n!/z(nu) is an integer.
+    Each coefficient of the sum is one dot product over nu."""
+    nus = enumerate_partitions(n - k)
+    weights = [(-1) ** len(nu) * (math.factorial(n) // z_factor(nu)) for nu in nus]
+    polys = [qfactorial_over(n, nu).coeffs for nu in nus]
+    exps = sorted(set().union(*polys))
+    cols = [[p.get(e, 0) for p in polys] for e in exps]
     out = {}
-    for lam in _states(lo):
-        row = {}
-        for lamp in _states(hi):
-            entry = transfer_entry(di, a, lam, lamp)
-            if entry:
-                row[lamp] = entry
-        if row:
-            out[lam] = row
+    for lam in enumerate_partitions(k):
+        states = [union(nu, lam) for nu in nus]
+        row = out[lam] = {}
+        for rho in enumerate_partitions(n):
+            w = [c * mn_character(rho, s) for c, s in zip(weights, states)]
+            if entry := QLaurent(dict(zip(exps, (sum(map(operator.mul, w, col)) for col in cols)))):
+                row[rho] = entry
     return out
 
 
 @lru_cache(maxsize=None)
-def transfer_entry(di: int, a: int, lam: Partition, lamp: Partition) -> QLaurent:
-    """sum over mu |- di - |lam|, nu |- di - |lamp| of
-    (-1)^(l(mu)+l(nu)) di!^2 / (z(lam) z(mu) z(nu)) [di]!/[mu] [di]!/[nu]
-    <lam u mu| q^(a F2) |nu u lamp>.
-
-    The weight is an integer: z(lam) z(mu) divides z(lam u mu), which divides
-    di!, and z(nu) divides |nu|!, which divides di!.  It depends on the slot
-    alone, so it is shared across degrees and gammas."""
-    fact = math.factorial(di)
-    total = QLaurent.zero()
-    for mu in enumerate_partitions(di - weight(lam)):
-        bra = union(lam, mu)
-        for nu in enumerate_partitions(di - weight(lamp)):
-            elem = matrix_element_char(bra, a, union(nu, lamp))
-            if elem:
-                c = (_exact_quotient(fact, z_factor(lam) * z_factor(mu))
-                     * _exact_quotient(fact, z_factor(nu)))
-                if (len(mu) + len(nu)) % 2:
-                    c = -c
-                total = total + (elem * qfactorial_over(di, mu) * qfactorial_over(di, nu)
-                                 * QLaurent.const(c))
-    return total
+def gram_matrix(m: int, n: int) -> dict:
+    """G(m, n)[rho][sigma] = sum over lam of R_m[rho][lam] L_n[lam][sigma]
+    / (m! n!) for rho |- m, sigma |- n, zero entries left out, with R from
+    `_slot_sums` and L_n[lam][sigma] = R_n[sigma][lam] / z(lam), a sum of
+    n!/(z(lam) z(mu)) [n]!/[mu], over the states lam both slots reach.  Each
+    division is exact (`_exact_quotient`).  G holds no framing, so one matrix,
+    memoized on (m, n), serves every gamma and degree: callers read it only."""
+    accs: dict = {}
+    for k in range(min(m, n) + 1):
+        left = _slot_sums(n, k)
+        for lam, col in _slot_sums(m, k).items():
+            z = z_factor(lam)
+            row = {sigma: QLaurent({e: _exact_quotient(v, z) for e, v in q.coeffs.items()})
+                   for sigma, q in left[lam].items()}
+            for rho, p in col.items():
+                for sigma, q in row.items():
+                    _mul_add(accs.setdefault(rho, {}).setdefault(sigma, {}), p, q)
+    scale = math.factorial(m) * math.factorial(n)
+    return {rho: {sigma: g for sigma, acc in row.items()
+                  if (g := QLaurent({e: _exact_quotient(v, scale) for e, v in acc.items()}))}
+            for rho, row in accs.items()}
 
 
 def _exact_quotient(n: int, m: int) -> int:

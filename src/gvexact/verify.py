@@ -47,7 +47,7 @@ from gvexact.qalgebra import (
     pole_extract,
     qnum,
     qnum_product,
-    qnum_ratio,
+    qnum_sum,
     t_k_in_t,
     t_k_qratio,
     to_t_poly,
@@ -350,7 +350,7 @@ def _check_scaled_forest(w, gamma, scales) -> int:
     """H(W_(k)) = k^(l-1) H(W)(q^k) times (1 + t_{mk/2}/2) per type-I tree
     (and the sign of gamma.d) for even k, up to Z[t]; g_k(W) has at most
     the t pole for k = 2 and none above.  As 1 + t_n/2 = [4n] / (2 [2n]), the
-    reference is one q-number exponent vector (`qnum_ratio`)."""
+    reference is one q-number exponent vector, and H(W_(k)) minus it one `qnum_sum`."""
     rs = w.rset
     lm, ln, ll = w.l_counts()
     expo = lm + ln + ll - 1
@@ -366,7 +366,8 @@ def _check_scaled_forest(w, gamma, scales) -> int:
                 counts[m * k] = counts.get(m * k, 0) - 1
             if odd:
                 const = -const
-        diff = try_to_t_poly(amplitude_H(scale_forest(w, k)) - qnum_ratio(const, counts))
+        scaled = amplitude_counts(scale_forest(w, k))
+        diff = try_to_t_poly(qnum_sum((scaled, (-const, counts)), memo=False))
         _check(diff is not None and diff.is_integral(), f"scaling law k={k} at {rs}")
         gkw = g_k_of_w(w, k)
         _check(try_to_t_poly(gkw * t_k_qratio(1)) is not None, f"t*g_{k} pole at {rs}")

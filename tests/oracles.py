@@ -25,9 +25,14 @@ combined forests and the Mobius combination g_k(W) over divisors (with the
 `mobius_sum` it used), each as a QRatio sum of reduced H(W), against the
 engine's one reduction over a common cyclotomic denominator.
 
-The matrix-element path's r-set sum is kept as the oracle for its transfer-
-matrix trace: every r-set (mu, nu, lambda) of the degree rebuilds its own
-r-fold product of bosonic matrix elements.  The def path's r-tuple sum is
+The matrix-element path's power-sum-basis trace is kept as the oracle for
+its Schur-basis trace of Gram matrices (`z_coefficient_matrix_transfer`):
+each slot's transfer matrix T_i[lambda][lambda'] (`transfer_matrix`,
+`transfer_entry`) sums bosonic matrix elements of q^((gamma_i+2) F2) over
+the power-sum states lambda of the slots.  The r-set sum that the transfer-
+matrix trace replaced is kept too: every r-set (mu, nu, lambda) of the
+degree rebuilds its own r-fold product of bosonic matrix elements.  The
+def path's r-tuple sum is
 kept the same way (`z_numerator_tuples`): every r-tuple of partitions
 multiplies its own r vertex numerators, against the engine's framed trace.
 The computation of Z and log Z at every degree vector is kept the same way
@@ -89,17 +94,26 @@ from gvexact.qalgebra import (
     QRatio,
     _primitive,
     _t_k_coeffs,
+    degree_counts,
     degree_denominator,
     qfactorial,
     qfactorial_over,
     qbinomial,
     qnum,
     qnum_product,
+    qnum_ratio,
     t_k_qratio,
     to_t_poly,
 )
 from gvexact.schur_vertex import matrix_element_char, w_numerator
-from gvexact.series import DegreeSeries, degree_vectors, downward_closure, z_numerator
+from gvexact.series import (
+    DegreeSeries,
+    _exact_quotient,
+    _trace,
+    degree_vectors,
+    downward_closure,
+    z_numerator,
+)
 
 
 def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -383,6 +397,68 @@ def z_numerator_tuples(gamma, d) -> QLaurent:
             term = term * w_numerator(lams[i], lams[(i + 1) % r])
         total = total + term.shifted(sum(g * kappa(lam) for g, lam in zip(gamma, lams)))
     return -total if sum(g * di for g, di in zip(gamma, d)) % 2 else total
+
+
+def z_coefficient_matrix_transfer(gamma, d) -> QRatio:
+    """Z_d as the power-sum-basis trace tr(T_1 ... T_r) of the slots'
+    `transfer_matrix`es, with no framing, since T_i holds slot i's
+    q^((gamma_i+2) F2) itself.  Slot i carries d_i!^2 times its
+    1 / ([mu^i] [nu^i] z(mu^i) z(nu^i) z(lambda^i)), so the trace is one
+    integer sum over D_d prod_i d_i!^2."""
+    r = len(gamma)
+    caps = [min(d[i - 1], d[i]) for i in range(r)]  # |lambda^i| <= caps[i]
+    mats = [transfer_matrix(d[i], gamma[i] + 2, caps[i], caps[(i + 1) % r])
+            for i in range(r)]
+    scale = math.prod(math.factorial(di) ** 2 for di in d)
+    return qnum_ratio(Fraction(1, scale), degree_counts(d), _trace(gamma, d, mats, (0,) * r))
+
+
+def _states(cap: int) -> tuple:
+    """Every partition of weight at most cap."""
+    return tuple(p for n in range(cap + 1) for p in enumerate_partitions(n))
+
+
+@lru_cache(maxsize=None)
+def transfer_matrix(di: int, a: int, lo: int, hi: int) -> dict:
+    """T[lambda][lambda'] for one slot of degree di and framing
+    q^(a F2), a = gamma_i + 2: rows |lambda| <= lo, columns |lambda'| <= hi,
+    zero entries left out.  See `transfer_entry`.  Memoized like its entries,
+    so the dicts are shared: callers read them and never change them."""
+    out = {}
+    for lam in _states(lo):
+        row = {}
+        for lamp in _states(hi):
+            entry = transfer_entry(di, a, lam, lamp)
+            if entry:
+                row[lamp] = entry
+        if row:
+            out[lam] = row
+    return out
+
+
+@lru_cache(maxsize=None)
+def transfer_entry(di: int, a: int, lam, lamp) -> QLaurent:
+    """sum over mu |- di - |lam|, nu |- di - |lamp| of
+    (-1)^(l(mu)+l(nu)) di!^2 / (z(lam) z(mu) z(nu)) [di]!/[mu] [di]!/[nu]
+    <lam u mu| q^(a F2) |nu u lamp>.
+
+    The weight is an integer: z(lam) z(mu) divides z(lam u mu), which divides
+    di!, and z(nu) divides |nu|!, which divides di!.  It depends on the slot
+    alone, so it is shared across degrees and gammas."""
+    fact = math.factorial(di)
+    total = QLaurent.zero()
+    for mu in enumerate_partitions(di - weight(lam)):
+        bra = union(lam, mu)
+        for nu in enumerate_partitions(di - weight(lamp)):
+            elem = matrix_element_char(bra, a, union(nu, lamp))
+            if elem:
+                c = (_exact_quotient(fact, z_factor(lam) * z_factor(mu))
+                     * _exact_quotient(fact, z_factor(nu)))
+                if (len(mu) + len(nu)) % 2:
+                    c = -c
+                total = total + (elem * qfactorial_over(di, mu) * qfactorial_over(di, nu)
+                                 * QLaurent.const(c))
+    return total
 
 
 def every_degree_series(gamma, max_total, degrees=None):

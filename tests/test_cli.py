@@ -132,7 +132,7 @@ def test_missing_gamma_is_usage_error(capsys):
 @pytest.mark.parametrize("args, config", [
     (["--surface", "P2", "--paths", "def,matrx"], None),
     (["--gamma=1,1", "--max-degree", "4", "--paths", "graphs"], None),
-    (["--gamma=1,1", "--max-degree", "5", "--paths", "def,matrix"], None),
+    (["--gamma=1,1", "--max-degree", "9", "--paths", "def,matrix"], None),
     (["--gamma=1,1", "--degrees", "2,2", "--paths", "graphs"], None),
     (["--surface", "P2", "--max-degree", "0"], None),
     (["--surface", "P2", "--degrees", ";"], None),

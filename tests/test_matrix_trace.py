@@ -1,6 +1,8 @@
 """The framed cyclic trace that the def and matrix paths share: the matrix
-path's transfer-matrix trace against the r-set sum it replaced
-(`oracles.z_coefficient_matrix_rsets`), and the def path's trace of W
+path's Schur-basis trace of Gram matrices against the power-sum-basis
+transfer-matrix trace it replaced (`oracles.z_coefficient_matrix_transfer`)
+and the r-set sum before that (`oracles.z_coefficient_matrix_rsets`), the
+Gram matrices against the vertex numerators, and the def path's trace of W
 numerators against its r-tuple sum (`oracles.z_numerator_tuples`)."""
 
 import copy
@@ -9,15 +11,26 @@ import math
 import pytest
 
 from gvexact.gv import PRESETS
-from gvexact.partitions import enumerate_partitions, z_factor
+from gvexact.partitions import enumerate_partitions, kappa, z_factor
 from gvexact.qalgebra import QLaurent
 from gvexact.schur_vertex import w_numerator
-from gvexact.series import degree_vectors, transfer_matrix, z_coefficient_matrix, z_numerator
-from oracles import z_coefficient_matrix_rsets, z_numerator_tuples
+from gvexact.series import (
+    _exact_quotient,
+    degree_vectors,
+    gram_matrix,
+    z_coefficient_def,
+    z_coefficient_matrix,
+    z_numerator,
+)
+from oracles import (
+    transfer_matrix,
+    z_coefficient_matrix_rsets,
+    z_coefficient_matrix_transfer,
+    z_numerator_tuples,
+)
 
-# sweep-wide benchmark gammas, r = 2 and r = 3 cases and the r = 4 surfaces,
-# each to |d| <= 4 (the matrix path's cap); that includes degrees with zero
-# entries such as (3, 0) and (2, 0, 0, 1, 0, 0)
+# sweep-wide benchmark gammas, r = 2 and r = 3 cases and the r = 4 surfaces;
+# their degrees include zero entries such as (3, 0) and (2, 0, 0, 1, 0, 0)
 TRACE_GAMMAS = [
     (2, 1, -1, 1),
     (1, -1, -1, 1, -2),
@@ -38,6 +51,37 @@ TRACE_GAMMAS = [
 def test_trace_matches_rset_sum(gamma):
     for d in degree_vectors(len(gamma), 4):
         assert z_coefficient_matrix(gamma, d) == z_coefficient_matrix_rsets(gamma, d), (gamma, d)
+
+
+@pytest.mark.parametrize("gamma", TRACE_GAMMAS, ids=str)
+def test_schur_trace_matches_transfer_trace(gamma):
+    for d in degree_vectors(len(gamma), 5):
+        assert z_coefficient_matrix(gamma, d) == z_coefficient_matrix_transfer(gamma, d), (gamma, d)
+
+
+def test_gram_matrix_is_the_vertex_numerator():
+    # G(m, n)[rho][sigma] = (-1)^(m+n) x^(-kappa(rho)-kappa(sigma)) w_numerator(rho, sigma),
+    # so framing slot i by q^((gamma_i+2) F2) gives the def path's trace
+    for m in range(9):
+        for n in range(9 - m):
+            gram = gram_matrix(m, n)
+            for rho in enumerate_partitions(m):
+                for sigma in enumerate_partitions(n):
+                    w = w_numerator(rho, sigma).shifted(-kappa(rho) - kappa(sigma))
+                    want = -w if (m + n) % 2 else w
+                    assert gram.get(rho, {}).get(sigma, QLaurent.zero()) == want, (rho, sigma)
+
+
+@pytest.mark.parametrize("gamma,cap", [(PRESETS["P2"], 8), (PRESETS["F0"], 6)], ids=str)
+def test_matrix_path_agrees_with_def_to_its_cap(gamma, cap):
+    for d in degree_vectors(len(gamma), cap):
+        assert z_coefficient_matrix(gamma, d) == z_coefficient_def(gamma, d), d
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient(720, 36) == 20
+    with pytest.raises(ArithmeticError):
+        _exact_quotient(720, 7)
 
 
 # every preset to |d| <= 5, the other trace gammas to 4, and three r = 2
@@ -69,21 +113,25 @@ def test_slot_weight_is_an_integer():
 
 @pytest.mark.parametrize("a", range(5))
 def test_empty_slot_is_the_identity(a):
+    # the empty slot's one Schur state () has kappa 0, so any framing q^(a F2)
+    # leaves it alone, in the Schur basis as in the power-sum one
+    assert gram_matrix(0, 0) == {(): {(): QLaurent.one()}}
     assert transfer_matrix(0, a, 0, 0) == {(): {(): QLaurent.one()}}
 
 
-def test_cached_transfer_matrices_are_not_changed_by_the_trace():
-    # transfer_matrix is memoized, so its dicts are shared between calls and
+def test_cached_gram_matrices_are_not_changed_by_the_trace():
+    # gram_matrix is memoized, so its dicts are shared between calls and
     # gammas; a trace that wrote into them would change later results
     gamma, d = (-1, 1, 2, 1, -1, -2), (1, 2, 0, 1, 0, 0)
+    r = len(gamma)
+    keys = [(d[i], d[(i + 1) % r]) for i in range(r)]
     first = z_coefficient_matrix(gamma, d)
-    cached = {key: copy.deepcopy(transfer_matrix(*key)) for key in cached_keys(gamma, d)}
+    cached = {key: copy.deepcopy(gram_matrix(*key)) for key in keys}
     assert z_coefficient_matrix(gamma, d) == first
     for key, mat in cached.items():
-        assert transfer_matrix(*key) == mat, key
-    assert z_coefficient_matrix(gamma, d) == z_coefficient_matrix_rsets(gamma, d)
+        assert gram_matrix(*key) == mat, key
+    assert first == z_coefficient_matrix_transfer(gamma, d)
     # the def path's matrices hold references into the w_numerator cache
-    r = len(gamma)
     pairs = [(lam, lamp) for i in range(r) for lam in enumerate_partitions(d[i])
              for lamp in enumerate_partitions(d[(i + 1) % r])]
     cached = {pair: copy.deepcopy(w_numerator(*pair)) for pair in pairs}
@@ -92,9 +140,3 @@ def test_cached_transfer_matrices_are_not_changed_by_the_trace():
     for pair, w in cached.items():
         assert w_numerator(*pair) == w, pair
     assert first == z_numerator_tuples(gamma, d)
-
-
-def cached_keys(gamma, d):
-    r = len(gamma)
-    caps = [min(d[i - 1], d[i]) for i in range(r)]
-    return [(d[i], gamma[i] + 2, caps[i], caps[(i + 1) % r]) for i in range(r)]

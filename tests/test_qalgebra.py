@@ -14,6 +14,7 @@ from gvexact.qalgebra import (
     QLaurent,
     QRatio,
     RPoly,
+    _laurent,
     _phi_factors,
     _shape_denominator,
     cyclotomic,
@@ -57,6 +58,20 @@ def test_qnum_product():
     assert qnum_product(()) == QLaurent.one()
     assert qnum_product((1, 1)) == qnum(1) * qnum(1)
     assert qnum_product((2, 1)) == qnum(2) * qnum(1)
+
+
+def test_equal_polynomials_hash_equal_however_built():
+    # the hash is kept in a slot on first use; _laurent, which skips
+    # __init__, starts that slot empty like __init__ does
+    built = QLaurent({3: 2, -1: -5, 0: 0})
+    wrapped = _laurent({-1: -5, 3: 2})
+    summed = QLaurent.monomial(3, 2) + QLaurent.monomial(-1, -5)
+    assert built == wrapped == summed
+    assert hash(built) == hash(wrapped) == hash(summed) == hash(built)
+    assert len({built, wrapped, summed}) == 1
+    den = qnum(2) * qnum(3)
+    assert _phi_factors(den) == _phi_factors(_laurent(dict(den.coeffs)))
+    assert hash(QLaurent()) == hash(_laurent({})) == hash(QLaurent.zero())
 
 
 def test_field_arith():
