@@ -32,6 +32,18 @@ the least image of d, in tuple order, that lies inside the series'
 support.  Z and the log are computed on the representatives only, and a
 read at any other degree of the orbit is a lookup.  A gamma with no
 symmetry simply has one-element orbits.
+
+Where d is zero at a vertex, that slot holds only the empty partition and
+the trace splits there: Z_d, D_d and the sign (-1)^(gamma.d) are products
+over the maximal cyclic runs of d's nonzero entries (`cyclic_runs`; a run
+may wrap around the cycle, and for r <= 3 every support is one run), and so
+is ZN_d, which `build_z_series` forms as that product.  On a support of two
+or more runs Z is a product of series in disjoint variables, so its log is
+their sum and F_d = 0, which `DegreeSeries.log` does not compute: F sums
+the connected combined forests only, and none spans two runs.  The matrix
+and graphs paths deliberately trace and sum every degree in full, so both
+check the split.  A numerator is reduced through one cache (`_reduce`), so
+a matrix-path trace equal to ZN_d is reduced once for both sides.
 """
 
 from __future__ import annotations
@@ -120,9 +132,26 @@ def z_numerator(gamma: tuple[int, ...], d: tuple[int, ...]) -> QLaurent:
     return _trace(gamma, d, mats, gamma)
 
 
+def cyclic_runs(d: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """One degree per maximal cyclic run of d's nonzero entries, equal to d
+    on the run and zero elsewhere, starting after d's first zero; a run may
+    wrap around the cycle, and a d with no zero is its own single run."""
+    r = len(d)
+    if all(d):
+        return [d]
+    runs: list[list[int]] = []
+    start = d.index(0)
+    for i in (j % r for j in range(start + 1, start + r)):
+        if d[i]:
+            if not d[i - 1]:  # d[-1] is d[r - 1]: the cycle closes
+                runs.append([0] * r)
+            runs[-1][i] = d[i]
+    return [tuple(run) for run in runs]
+
+
 def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     """The partition-function coefficient Z_d by the definitional path."""
-    return qnum_ratio(1, degree_counts(d), z_numerator(gamma, d))
+    return _reduce(1, _shape(d), z_numerator(gamma, d))
 
 
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
@@ -132,11 +161,28 @@ def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     x^(a kappa(rho)), rho |- d_i, so by cyclicity the trace is the framed
     `_trace` of the Gram matrices G(d_i, d_(i+1)) = R L / (d_i! d_(i+1)!)
     (`gram_matrix`).  The d_i!^2 of each slot cancel against that division,
-    so the trace is ZN_d itself, reduced over the cyclotomic factors of D_d."""
+    so the trace is ZN_d itself, reduced over the cyclotomic factors of D_d
+    through the cache that `DegreeSeries.get` reads (`_reduce`): where the
+    paths agree, the second of the two reductions is a lookup."""
     _check_degree(gamma, d)
     r = len(gamma)
     mats = [gram_matrix(d[i], d[(i + 1) % r]) for i in range(r)]
-    return qnum_ratio(1, degree_counts(d), _trace(gamma, d, mats, tuple(g + 2 for g in gamma)))
+    return _reduce(1, _shape(d), _trace(gamma, d, mats, tuple(g + 2 for g in gamma)))
+
+
+def _shape(d: tuple[int, ...]) -> tuple[int, ...]:
+    """The sorted nonzero entries of d, which fix D_d."""
+    return tuple(sorted(x for x in d if x))
+
+
+@lru_cache(maxsize=None)
+def _reduce(weight: int, shape: tuple[int, ...], num: QLaurent) -> QRatio:
+    """num / (weight D_d) as a canonical QRatio (`qnum_ratio`), for d of the
+    given shape.  Memoized on the numerator's value, so a numerator equal to
+    one reduced before, at any degree of that shape, is a lookup, and a
+    different numerator is reduced on its own.  The ratio is shared and
+    read-only."""
+    return qnum_ratio(Fraction(1, weight), degree_counts(shape), num)
 
 
 def _trace(gamma: tuple[int, ...], d: tuple[int, ...], mats: list[dict],
@@ -325,8 +371,8 @@ class DegreeSeries:
     def get(self, d: tuple[int, ...]) -> QRatio:
         """c_d as a canonical QRatio, reduced on the first read of its orbit
         over the cyclotomic factors of its denominator D_d (times |d| when
-        weighted) by `qnum_ratio`, with no polynomial gcd; like `numerator`,
-        a degree outside the computed range is a KeyError."""
+        weighted) through `_reduce`, with no polynomial gcd; like
+        `numerator`, a degree outside the computed range is a KeyError."""
         if not any(d):
             return self.constant
         k = self.key(d)
@@ -336,8 +382,7 @@ class DegreeSeries:
             if num is None:
                 return QRatio.zero()
             # D_d and |d| are symmetric in the entries of d, so c_d = c_k
-            out = self._ratios[k] = qnum_ratio(Fraction(1, self._weight(k)),
-                                               degree_counts(k), num)
+            out = self._ratios[k] = _reduce(self._weight(k), _shape(k), num)
         return out
 
     @property
@@ -361,6 +406,12 @@ class DegreeSeries:
         under them is summed once, times the class size.  The result is the
         weighted series of the FN_d, with this series' symmetry; nothing is
         reduced here.
+
+        A d whose support has two or more cyclic runs (`cyclic_runs`) is
+        skipped, and FN_d stays absent, as a zero numerator is stored: Z
+        restricted to that support is the product of its restrictions to
+        the runs, series in disjoint variables, so its log is their sum and
+        has no monomial that mixes two runs.
         """
         if self.weighted or self.constant != QRatio.one():
             raise ValueError("log needs an unweighted series with constant term 1")
@@ -368,6 +419,8 @@ class DegreeSeries:
                            symmetry=self.symmetry)
         keys, zn, fn = self._keys, self.numerators, out.numerators  # fn: FN_e
         for d in self.representatives():
+            if len(cyclic_runs(d)) > 1:
+                continue
             n = -sum(d)
             acc = {e: v * n for e, v in zn.get(d, QLaurent.zero()).coeffs.items()}
             # d's own stabilizer maps the box below d onto itself and fixes
@@ -443,10 +496,18 @@ def build_z_series(
     """Assemble the partition-function series (definitional path) up to the
     total-degree cap, optionally restricted to the downward closure of an
     explicit degree set.  Z_d is computed once per orbit of gamma's
-    `stabilizer`, at the orbit's representative."""
+    `stabilizer`, at the orbit's representative: by `z_numerator` where d's
+    support is one cyclic run, and otherwise as the product of its runs'
+    numerators.  Each run lies below d in the downward-closed support, with
+    a smaller total degree, so its representative is already done."""
     support = None if degrees is None else downward_closure(degrees)
     z = DegreeSeries(len(gamma), max_total, support, symmetry=stabilizer(gamma))
     z.constant = QRatio.one()
     for d in z.representatives():
-        z.set_numerator(d, z_numerator(gamma, d))
+        runs = cyclic_runs(d)
+        if len(runs) == 1:
+            z.set_numerator(d, z_numerator(gamma, d))
+        else:
+            z.set_numerator(d, math.prod((z.numerator(run) for run in runs),
+                                         start=QLaurent.one()))
     return z

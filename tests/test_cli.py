@@ -131,9 +131,9 @@ def test_missing_gamma_is_usage_error(capsys):
 
 @pytest.mark.parametrize("args, config", [
     (["--surface", "P2", "--paths", "def,matrx"], None),
-    (["--gamma=1,1", "--max-degree", "4", "--paths", "graphs"], None),
+    (["--gamma=1,1", "--max-degree", "6", "--paths", "graphs"], None),
     (["--gamma=1,1", "--max-degree", "9", "--paths", "def,matrix"], None),
-    (["--gamma=1,1", "--degrees", "2,2", "--paths", "graphs"], None),
+    (["--gamma=1,1", "--degrees", "3,3", "--paths", "graphs"], None),
     (["--surface", "P2", "--max-degree", "0"], None),
     (["--surface", "P2", "--degrees", ";"], None),
     (["--surface", "P2", "--degrees", "1,0"], None),
@@ -144,7 +144,7 @@ def test_missing_gamma_is_usage_error(capsys):
     ([], {"gamma": [1, 1.5]}),
     ([], {"gamma": [1, 1], "degrees": []}),
     ([], {"gamma": [1, 1], "degrees": [[1, 0, 0]]}),
-    ([], {"gamma": [1, 1], "paths": "graphs", "max_total_degree": 4}),
+    ([], {"gamma": [1, 1], "paths": "graphs", "max_total_degree": 6}),
     ([], {"gamma": [1, 1], "max_total_degree": 2.5}),
     ([], {"gamma": [1, 1], "paths": ["def"]}),
     ([], [1, 1]),

@@ -30,6 +30,8 @@ RUNS = [
     ["compute", "--surface", "F0", "--max-degree", "5"],
     ["compute", "--surface", "B3", "--max-degree", "4", "--paths", "def,matrix"],
     ["compute", "--surface", "P2", "--max-degree", "8"],
+    ["compute", "--surface", "P2", "--max-degree", "5", "--paths", "def,matrix,graphs"],
+    ["compute", "--surface", "B2", "--max-degree", "5", "--paths", "def,matrix,graphs"],
 ]
 
 

@@ -10,7 +10,9 @@ from gvexact.series import (
     DegreeSeries,
     _cofactor,
     _mul_add,
+    _reduce,
     build_z_series,
+    cyclic_runs,
     degree_vectors,
     downward_closure,
     f_connected,
@@ -18,7 +20,7 @@ from gvexact.series import (
     z_coefficient_graphs,
     z_coefficient_matrix,
 )
-from oracles import z_coefficient_graphs_oracle
+from oracles import every_degree_series, z_coefficient_graphs_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -255,3 +257,51 @@ def test_mul_add_adds_the_shifted_product(acc, a, b, shift):
         plain = dict(acc)
         _mul_add(plain, a, b)
         assert plain == out
+
+
+@pytest.mark.parametrize("d, runs", [
+    ((1, 0, 0, 2), [(1, 0, 0, 2)]),  # wraps around the cycle
+    ((1, 2, 3, 4), [(1, 2, 3, 4)]),
+    ((0, 0, 3, 0), [(0, 0, 3, 0)]),
+    ((1, 0, 1, 0), [(0, 0, 1, 0), (1, 0, 0, 0)]),
+    ((2, 0, 1, 0, 1, 0), [(0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 1, 0), (2, 0, 0, 0, 0, 0)]),
+    ((1, 1, 0, 2, 0, 1), [(0, 0, 0, 2, 0, 0), (1, 1, 0, 0, 0, 1)]),
+    ((1, 0, 2), [(1, 0, 2)]),  # r = 3: every support is one run
+], ids=str)
+def test_cyclic_runs(d, runs):
+    assert cyclic_runs(d) == runs
+    assert tuple(map(sum, zip(*runs))) == d  # the runs partition d's support
+
+
+@pytest.mark.parametrize("gamma", [
+    PRESETS["F0"], PRESETS["F1"], PRESETS["B2"], PRESETS["B3"], (-2, 0, 2, 1, 0, -2),
+], ids=str)
+def test_split_degrees_factor_on_the_full_computation(gamma):
+    # on the full trace and full box at every degree, not on the engine's split:
+    # Z_d is the product over d's cyclic runs, and F_d = 0 off one-run supports
+    zs, fs = every_degree_series(gamma, 4)
+    split = [d for d in degree_vectors(len(gamma), 4) if len(cyclic_runs(d)) > 1]
+    assert split
+    for d in split:
+        prod = QLaurent.one()
+        for run in cyclic_runs(d):
+            prod = prod * zs.numerator(run)
+        assert zs.numerator(d) == prod, d
+        assert fs.numerator(d).is_zero(), d
+
+
+def test_matrix_and_def_share_one_reduction():
+    gamma = (-2, 0, 2, 1, 0, -2)
+    zs = build_z_series(gamma, 3)
+    for d in [(1, 1, 1, 0, 0, 0), (0, 2, 0, 0, 0, 1), (1, 0, 1, 0, 1, 0)]:
+        m = z_coefficient_matrix(gamma, d)
+        assert m is zs.get(d), d  # equal numerators: one reduction, one shared ratio
+    d = (1, 1, 1, 0, 0, 0)
+    num = zs.numerator(d)
+    e = num.max_exp()
+    changed = QLaurent({**num.coeffs, e: num.coeffs[e] + 1})
+    shape = (1, 1, 1)
+    assert _reduce(1, shape, num) is zs.get(d)
+    assert _reduce(1, shape, changed) != zs.get(d)
+    assert _reduce(1, shape, changed) == QRatio(changed, degree_denominator(d))
+    assert _reduce(3, shape, num) != zs.get(d)  # the weight is part of the key
