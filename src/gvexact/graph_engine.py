@@ -300,9 +300,6 @@ class CombinedForest:
         verts, edges, components = self._contracted
         return len(edges) - len(verts) + components
 
-    def component_count(self) -> int:
-        return self._contracted[2]
-
     def is_connected(self) -> bool:
         return self._contracted[2] == 1
 

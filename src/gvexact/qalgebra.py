@@ -13,8 +13,8 @@ with no polynomial gcd.  One kernel (`_times_phis`) applies every product of
 Phi_j powers, through the binomials Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d);
 a product of two ratios tests each numerator only against the other's
 denominator, and a sum is formed over the lcm of the denominators.  Pole
-extraction works by exact polynomial remainder arithmetic modulo t_k, never by
-evaluating at roots of unity.
+extraction folds the Laurent numerator of f t_k modulo x^(2k) - 1 and divides
+it once, exactly, by [k]^2, never evaluating at roots of unity.
 """
 
 from __future__ import annotations
@@ -665,25 +665,25 @@ class RPoly:
 
     Serves for both the t- and the y-images; the variable is bookkeeping at
     the call sites.  The form is canonical, so == and hash use (nums, den),
-    and `is_integral` is den == 1.  A Fraction is built only when a
-    coefficient is read (`coeffs`, `[]`), as the arithmetic does.  An image
-    from `to_t_poly` or `to_y_poly` knows its den at once and builds `nums`
-    from its Laurent numerator on first read (`_image_nums`).
+    and `is_integral` is den == 1.  It has no arithmetic, which runs on the
+    Laurent numerators; a Fraction is built only when a coefficient is read
+    (`coeffs`, `[]`).  An image from `to_t_poly` or `to_y_poly` knows its den
+    at once and builds `nums` from its Laurent numerator on first read
+    (`_image_nums`).
     """
 
     __slots__ = ("_nums", "den", "_src")
 
-    def __init__(self, coeffs=(), den: int = 1):
-        """sum_i coeffs[i] t^i / den for rational coeffs and an integer den > 0."""
+    def __init__(self, coeffs=()):
+        """sum_i coeffs[i] t^i for rational coeffs.  Over the lcm of their
+        denominators the numerators are already reduced: a coefficient with
+        the most factors p of that lcm has a numerator prime to p."""
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        lcm = math.lcm(*(c.denominator for c in cs))
-        nums = [c.numerator * (lcm // c.denominator) for c in cs]
+        self.den = math.lcm(*(c.denominator for c in cs))
+        nums = [c.numerator * (self.den // c.denominator) for c in cs]
         while nums and not nums[-1]:
             nums.pop()
-        den *= lcm
-        g = math.gcd(den, *nums)
-        self._nums = tuple(n // g for n in nums) if g > 1 else tuple(nums)
-        self.den = den // g
+        self._nums = tuple(nums)
 
     @property
     def nums(self) -> tuple[int, ...]:
@@ -712,56 +712,8 @@ class RPoly:
     def __hash__(self):
         return hash((self.nums, self.den))
 
-    def __add__(self, other: "RPoly") -> "RPoly":
-        n = max(len(self.nums), len(other.nums))
-        return RPoly([self[i] + other[i] for i in range(n)])
-
-    def __neg__(self) -> "RPoly":
-        return RPoly([-n for n in self.nums], self.den)
-
-    def __sub__(self, other: "RPoly") -> "RPoly":
-        return self + (-other)
-
-    def __mul__(self, other) -> "RPoly":
-        """The product with a scalar."""
-        return RPoly([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def divmod(self, other: "RPoly") -> tuple["RPoly", "RPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError
-        num = list(self.coeffs)
-        d = other.degree()
-        lead = other.coeffs[-1]
-        q = [Fraction(0)] * max(0, len(num) - d)
-        while len(num) - 1 >= d and num:
-            nd = len(num) - 1
-            f = num[-1] / lead
-            q[nd - d] = f
-            for j, b in enumerate(other.coeffs):
-                num[nd - d + j] -= f * b
-            while num and not num[-1]:
-                num.pop()
-        return RPoly(q), RPoly(num)
-
-    def mod(self, other: "RPoly") -> "RPoly":
-        return self.divmod(other)[1]
-
-    def divide_exact(self, other: "RPoly") -> "RPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division not exact")
-        return q
-
     def is_integral(self) -> bool:
         return self.den == 1
-
-    def constant(self) -> Fraction:
-        return self[0]
-
-    def constant_only(self) -> Fraction | None:
-        return self[0] if self.degree() <= 0 else None
 
     def __repr__(self) -> str:
         return f"RPoly({list(self.coeffs)})"
@@ -862,40 +814,37 @@ def pole_extract(f: QRatio, k: int, mode: str = "plain") -> tuple[Fraction, RPol
     half : f = (g/t_k)(1 + t_{k/2}/2) + rem   -> (g, remainder in y),
            only for even k.
     Raises NoSuchDecomposition when f*t_k is not a (suitably symmetric)
-    Laurent polynomial or the modular remainder has the wrong shape.
+    Laurent polynomial or has no such shape.
+
+    With f t_k = N/c, 1 = h/2 and 1 + t_{k/2}/2 = h/2 for h = x^m + x^-m,
+    m = 0 (plain) or k (half), so the shape holds when [k]^2 =
+    x^-2k (x^2k - 1)^2 divides 2N - c g h.  Then N folded modulo x^2k - 1 is
+    c g at residue m, where h folds to 2, and 0 at every other residue; that
+    fixes g, and one exact division by [k]^2 gives the remainder.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
+    if mode not in ("plain", "half"):
+        raise ValueError(f"unknown pole_extract mode {mode!r}")
+    if mode == "half" and k % 2:
+        raise ValueError("half mode needs even k")
+    step, m = (2, 0) if mode == "plain" else (1, k)
     prod = f * t_k_qratio(k)
-    if mode == "plain":
-        try:
-            p = to_t_poly(prod)
-        except NotSymmetricInT as exc:
-            raise NoSuchDecomposition(str(exc)) from exc
-        q, r = p.divmod(t_k_in_t(k))
-        g = r.constant_only()
-        if g is None:
-            raise NoSuchDecomposition("modular remainder is not a constant")
-        return g, q
-    if mode == "half":
-        if k % 2:
-            raise ValueError("half mode needs even k")
-        try:
-            p = to_y_poly(prod)
-        except NotSymmetricInT as exc:
-            raise NoSuchDecomposition(str(exc)) from exc
-        tk_y = to_y_poly(t_k_qratio(k))
-        half_y = to_y_poly(QRatio.one() + t_k_qratio(k // 2) * Fraction(1, 2))
-        rp = p.mod(tk_y)
-        rh = half_y.mod(tk_y)
-        if rh.is_zero():
-            raise NoSuchDecomposition("degenerate half-mode modulus")
-        g = rp.coeffs[-1] / rh.coeffs[-1] if rp.coeffs else Fraction(0)
-        if rh * g != rp:
-            raise NoSuchDecomposition("modular remainder not proportional to 1 + t_{k/2}/2")
-        rem = (p - half_y * g).divide_exact(tk_y)
-        return g, rem
-    raise ValueError(f"unknown pole_extract mode {mode!r}")
+    try:
+        c = _laurent_to_poly(prod, step).den
+    except NotSymmetricInT as exc:
+        raise NoSuchDecomposition(str(exc)) from exc
+    fold = [0] * (2 * k)
+    for e, v in prod.num.coeffs.items():
+        fold[e % (2 * k)] += v
+    cg, fold[m] = fold[m], 0
+    if any(fold):
+        raise NoSuchDecomposition(f"f t_{k} folded modulo x^{2 * k} - 1 is not c g at residue {m}")
+    cgh = QLaurent.monomial(m, cg) + QLaurent.monomial(-m, cg)
+    rem = qnum_ratio(Fraction(1, 2 * c), {k: -2}, QLaurent.const(2) * prod.num - cgh)
+    if not rem.is_laurent():
+        raise NoSuchDecomposition(f"[{k}]^2 does not divide f t_{k} - g h/2")
+    return Fraction(cg, c), _laurent_to_poly(rem, step)
 
 
 # ---------------------------------------------------------------------------

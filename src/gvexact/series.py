@@ -27,7 +27,7 @@ Every coefficient is computed once per orbit of gamma's dihedral symmetry.
 Since W(mu, nu) = W(nu, mu), rotating or reflecting (gamma, d) together
 fixes Z_d, so the index permutations i -> +-i + k (mod r) that fix gamma
 (`stabilizer`) fix ZN_d, FN_d and t*G_d too.  A series keys its numerators
-and reduced ratios on one representative per orbit (`DegreeSeries.key`):
+on one representative per orbit (`DegreeSeries.key`):
 the least image of d, in tuple order, that lies inside the series'
 support.  Z and the log are computed on the representatives only, and a
 read at any other degree of the orbit is a lookup.  A gamma with no
@@ -296,8 +296,9 @@ class DegreeSeries:
     or c_d = numerator(d) / (|d| D_d) for a `weighted` series.  The
     partition function keeps ZN_d = Z_d D_d; its log, the free energy, is
     weighted and keeps FN_d = |d| F_d D_d.  `get` (and `coefficients`)
-    reduces a coefficient to a canonical QRatio the first time it is read
-    and caches it; a run that reads only numerators reduces none.
+    reduces a coefficient to a canonical QRatio the first time it is read,
+    through the `_reduce` cache, so a later read of it or of an orbit-mate
+    is a lookup; a run that reads only numerators reduces none.
 
     An optional support set restricts the kept degree vectors further; it
     must be downward closed under the componentwise order, because the log
@@ -305,9 +306,8 @@ class DegreeSeries:
 
     `symmetry` holds index permutations under which every coefficient is
     invariant (`stabilizer`; the identity alone by default).  `numerators`
-    and the reduced ratios are keyed on one representative per orbit
-    (`key`), and `numerator`, `get` and `coefficients` read any kept degree
-    through it.
+    are keyed on one representative per orbit (`key`), and `numerator`,
+    `get` and `coefficients` read any kept degree through it.
     """
 
     def __init__(self, r: int, max_total: int, support: frozenset | None = None,
@@ -318,7 +318,6 @@ class DegreeSeries:
         self.weighted = weighted
         self.symmetry = symmetry or (tuple(range(r)),)
         self.numerators: dict[tuple[int, ...], QLaurent] = {}  # on representatives
-        self._ratios: dict[tuple[int, ...], QRatio] = {}
         self.constant = QRatio.zero()
         # each kept degree that is not its orbit's representative, to the
         # representative: empty when the symmetry is the identity alone
@@ -357,7 +356,6 @@ class DegreeSeries:
         """Store the numerator of c_d, and so of its whole orbit, for a
         nonzero kept degree d."""
         k = self.key(d)
-        self._ratios.pop(k, None)
         if num.is_zero():
             self.numerators.pop(k, None)
         else:
@@ -376,14 +374,11 @@ class DegreeSeries:
         if not any(d):
             return self.constant
         k = self.key(d)
-        out = self._ratios.get(k)
-        if out is None:
-            num = self.numerators.get(k)
-            if num is None:
-                return QRatio.zero()
-            # D_d and |d| are symmetric in the entries of d, so c_d = c_k
-            out = self._ratios[k] = _reduce(self._weight(k), _shape(k), num)
-        return out
+        num = self.numerators.get(k)
+        if num is None:
+            return QRatio.zero()
+        # D_d and |d| are symmetric in the entries of d, so c_d = c_k
+        return _reduce(self._weight(k), _shape(k), num)
 
     @property
     def coefficients(self) -> dict[tuple[int, ...], QRatio]:

@@ -41,8 +41,8 @@ from gvexact.partitions import (
 )
 from gvexact.qalgebra import (
     NotSymmetricInT,
+    QLaurent,
     QRatio,
-    RPoly,
     mobius,
     pole_extract,
     qnum,
@@ -144,14 +144,14 @@ def suite_q_lemmas() -> str:
             f = QRatio(qnum(k * a)) / QRatio(qnum(a))
             if k % 2 == 1 or a % 2 == 0:
                 p = to_t_poly(f)
-                _check(p.is_integral() and p.constant() == k, f"[{k * a}]/[{a}]")
+                _check(p.is_integral() and p[0] == k, f"[{k * a}]/[{a}]")
             else:
-                py = to_y_poly(f)
-                rem = py.mod(RPoly([0, 4, 1]))
-                _check(
-                    rem == RPoly([k, Fraction(k, 2)]),
-                    f"even/odd remainder failed for k={k}, a={a}",
-                )
+                # f modulo t = y(y + 4) is k + (k/2)y = (k/2)(x + 1/x)
+                rem = QRatio(QLaurent({1: k, -1: k}), QLaurent.const(2))
+                try:
+                    to_y_poly((f - rem) / t_k_qratio(1))
+                except NotSymmetricInT:
+                    _check(False, f"even/odd remainder failed for k={k}, a={a}")
     # lcm/gcd integrality with constant term 1
     hits = 0
     while hits < 200:

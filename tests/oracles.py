@@ -40,9 +40,11 @@ The computation of Z and log Z at every degree vector is kept the same way
 gamma's dihedral symmetry.
 
 The t- and y-images are kept the same way: `FractionRPoly`, with one
-Fraction per coefficient, and the image and pole extraction built on it,
-against `RPoly`'s integer numerators over one denominator; and D_d as one
-product chain over d, against the engine's D_d cached on the shape of d.
+Fraction per coefficient, and the image and the pole extraction by remainder
+arithmetic modulo t_k built on it, against `RPoly`'s integer numerators over
+one denominator and the engine's fold of the Laurent numerator modulo
+x^(2k) - 1 with one division by [k]^2; and D_d as one product chain over d,
+against the engine's D_d cached on the shape of d.
 
 The cyclotomic arithmetic that the binomial kernel (`qalgebra._times_phis`)
 replaced is kept the same way: Phi_n as x^n - 1 divided by Phi_j for each

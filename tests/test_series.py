@@ -188,17 +188,19 @@ def test_downward_closure():
 
 def test_reports_reduce_no_coefficient():
     # the def path reads numerators only; a ratio is made when it is read
+    _reduce.cache_clear()
     zs = build_z_series(PRESETS["P2"], 4)
     fs = zs.log()
     for d in degree_vectors(3, 4):
         assert integrality_report(PRESETS["P2"], d, fs).integral
-    assert not zs._ratios and not fs._ratios
+    info = _reduce.cache_info()
+    assert info.hits == info.misses == info.currsize == 0
     d = (2, 1, 0)
     assert fs.get(d) == QRatio(fs.numerator(d), degree_denominator(d) * QLaurent.const(3))
-    # one ratio, cached on d's orbit representative, for every degree of the orbit
-    assert list(fs._ratios) == [fs.key(d)] and fs.get(d) is fs._ratios[fs.key(d)]
+    # one reduction for the whole orbit: every orbit-mate reads the same ratio
     assert all(fs.get(e) is fs.get(d) for e in itertools.permutations(d))
-    assert len(fs._ratios) == 1
+    info = _reduce.cache_info()
+    assert info.misses == info.currsize == 1 and info.hits == 2 * 6
 
 
 def test_strict_coefficient_lookup():
