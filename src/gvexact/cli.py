@@ -56,7 +56,7 @@ class RunConfig:
                 if (len(vec) != r or not all(type(x) is int and x >= 0 for x in vec)
                         or not any(vec)):
                     raise ValueError(
-                        f"bad degree vector {list(vec)}: need {r} entries >= 0, not all 0"
+                        f"bad degree vector {list(vec)}: need {r} integers >= 0, not all 0"
                     )
         top = self.top_degree()
         for name in self.paths:
@@ -172,7 +172,10 @@ def config_from_args(args) -> RunConfig:
     if args.degrees is not None:
         degrees = parse_degrees(args.degrees)
     elif "degrees" in file_cfg:
-        degrees = [tuple(d) for d in file_cfg["degrees"]]
+        degrees = file_cfg["degrees"]
+        if not (isinstance(degrees, list) and all(isinstance(d, list) for d in degrees)):
+            raise ValueError(f"config degrees must be a list of integer lists, not {degrees!r}")
+        degrees = [tuple(d) for d in degrees]
     else:
         degrees = None
     paths = pick(args.paths, "paths", "def")

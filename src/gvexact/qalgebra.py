@@ -12,9 +12,13 @@ Ratios are reduced over the cyclotomic factors Phi_j of their denominators,
 with no polynomial gcd.  One kernel (`_times_phis`) applies every product of
 Phi_j powers, through the binomials Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d);
 a product of two ratios tests each numerator only against the other's
-denominator, and a sum is formed over the lcm of the denominators.  Pole
-extraction folds the Laurent numerator of f t_k modulo x^(2k) - 1 and divides
-it once, exactly, by [k]^2, never evaluating at roots of unity.
+denominator.  Every sum of ratios, of q-number products (`qnum_sum`) or of two
+QRatios, goes through one core (`_ratio_sum`): the terms are added as integers
+over lcm(lead) prod Phi_j^(-min e_j) and reduced once, testing only a Phi_j
+whose lowest exponent two terms share.  One loop (`_mul_add`) forms every
+product of Laurent polynomials.  Pole extraction folds the Laurent numerator
+of f t_k modulo x^(2k) - 1 and divides it once, exactly, by [k]^2, never
+evaluating at roots of unity.
 """
 
 from __future__ import annotations
@@ -131,15 +135,8 @@ class QLaurent:
             ((e1, v1),) = a.items()
             return _laurent({e1 + e2: v1 * v2 for e2, v2 in b.items()})
         c: dict[int, int] = {}
-        for e1, v1 in a.items():
-            for e2, v2 in b.items():
-                e = e1 + e2
-                s = c.get(e, 0) + v1 * v2
-                if s:
-                    c[e] = s
-                else:
-                    c.pop(e, None)
-        return _laurent(c)
+        _mul_add(c, self, other)
+        return _laurent(c if all(c.values()) else {e: v for e, v in c.items() if v})
 
     def shifted(self, k: int) -> "QLaurent":
         """Multiply by x^k."""
@@ -201,6 +198,19 @@ def _laurent(c: dict[int, int]) -> QLaurent:
     out = QLaurent.__new__(QLaurent)
     out.coeffs, out._hash = c, None
     return out
+
+
+def _mul_add(acc: dict[int, int], a: QLaurent, b: QLaurent, shift: int = 0) -> None:
+    """acc += x^shift a b, in place on a dict of exponents to coefficients
+    that may hold zeros."""
+    a, b = a.coeffs, b.coeffs
+    if len(a) > len(b):
+        a, b = b, a
+    for e1, v1 in a.items():
+        e1 += shift
+        for e2, v2 in b.items():
+            e = e1 + e2
+            acc[e] = acc.get(e, 0) + v1 * v2
 
 
 def _primitive(*polys: dict[int, int]) -> tuple[dict[int, int], ...]:
@@ -297,9 +307,7 @@ def qnum_sum(terms, num: QLaurent | None = None, memo: bool = True) -> "QRatio":
     canonical QRatio, with no gcd; num, an integer Laurent polynomial, is 1 if left out.
 
     [k] = x^-k prod_{j | 2k} Phi_j(x) and [-k] = -[k], so a term is c x^s prod Phi_j^e_j,
-    and the terms add up as integers over lcm(den c) prod Phi_j^(-min e_j).  The Phi_j are
-    monic, primitive, irreducible and pairwise coprime, so the sum is reduced once, by the
-    highest powers of the Phi_j left in the denominator that divide it (`_common_phis`).
+    and the terms go to `_ratio_sum` with the numerators c.numerator x^s.
     [0] with a positive exponent makes a term 0; in a denominator it is a ZeroDivisionError.
     With no num, unless `memo` is False, the sum is memoized on its canonical terms, Fraction(const)
     and the sorted nonzero (k, e) pairs, as amplitudes repeat: it is shared and read-only."""
@@ -327,30 +335,39 @@ def qnum_sum(terms, num: QLaurent | None = None, memo: bool = True) -> "QRatio":
             for j in _cyclotomic_indices(k):
                 phis[j] = phis.get(j, 0) + e
         if c:
-            walked.append((c, shift, phis))
-    if len(walked) == 1:  # every qnum_ratio: c x^s over its own Phi_j, nothing to add
-        c, shift, phis = walked[0]
-        low, lcm = dict(sorted(phis.items())), c.denominator
-        total = _laurent({shift: c.numerator})
+            walked.append((_laurent({shift: c.numerator}), c.denominator, phis))
+    return _ratio_sum(walked, num)
+
+
+def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
+    """num * sum over (p, lead, phis) of p prod Phi_j^phis[j] / lead as a canonical QRatio,
+    for integer Laurent polynomials p and num (1 if left out), positive integers lead and
+    signed exponents phis, a dict.  The terms add up as integers over
+    lcm(lead) prod Phi_j^(-min e_j), and the sum is reduced once, by the highest powers of
+    the Phi_j left in the denominator that divide it (`_common_phis`): the Phi_j are monic,
+    primitive, irreducible and pairwise coprime.  Each p is prime to the Phi_j of negative
+    exponent in its own term, as a reduced numerator or a monomial is.  So a Phi_j whose
+    lowest exponent only one term attains divides every term of the sum but that one, not
+    the sum, and is tested only when num is given."""
+    if len(terms) == 1:  # every qnum_ratio: nothing to add
+        ((total, lcm, low),) = terms
+        low, ties = dict(sorted(low.items())), ()
     else:
-        low = {j: min(p.get(j, 0) for _, _, p in walked)
-               for j in sorted(set().union(*(p for _, _, p in walked)))}
-        lcm = math.lcm(*(c.denominator for c, _, _ in walked))
+        exps = {j: sorted(p.get(j, 0) for _, _, p in terms)
+                for j in sorted(set().union(*(p for _, _, p in terms)))}
+        low = {j: e[0] for j, e in exps.items()}
+        ties = {j for j, e in exps.items() if e[1] == e[0]}  # lowest exponent attained twice
+        lcm = math.lcm(*(lead for _, lead, _ in terms))
         acc: dict[int, int] = {}
-        for c, shift, phis in walked:
-            n = c.numerator * (lcm // c.denominator)
-            excess = tuple((j, phis.get(j, 0) - e) for j, e in low.items()
-                           if phis.get(j, 0) > e)
-            for e, v in _phi_power(excess).coeffs.items():
-                acc[e + shift] = acc.get(e + shift, 0) + n * v
-        total = _laurent({e: v for e, v in acc.items() if v})
-    if num is not None:
-        total = total * num
-    common = ()
-    if len(total.coeffs) > 1:
-        common = _common_phis(total, tuple((j, -e) for j, e in low.items() if e < 0))
-        for j, k in common:
-            low[j] += k
+        for p, lead, phis in terms:
+            excess = tuple((j, phis.get(j, 0) - e) for j, e in low.items() if phis.get(j, 0) > e)
+            _mul_add(acc, p * QLaurent.const(lcm // lead) if lead < lcm else p, _phi_power(excess))
+        total = _laurent(acc if all(acc.values()) else {e: v for e, v in acc.items() if v})
+    total = total if num is None else total * num
+    common = _common_phis(total, () if len(total.coeffs) < 2 else tuple(
+        (j, -e) for j, e in low.items() if e < 0 and (num is not None or j in ties)))
+    for j, k in common:
+        low[j] += k
     # the Phi_j left up and the common ones divided out, in one call of the kernel
     total = _times_phis(total, tuple((j, e) for j, e in low.items() if e > 0)
                         + tuple((j, -k) for j, k in common))
@@ -579,26 +596,11 @@ class QRatio:
         return v if isinstance(v, QRatio) else QRatio.const(v)
 
     def __add__(self, other) -> "QRatio":
-        """a/b + c/d over lcm(b, d) = lcm(l_b, l_d) prod Phi_j^max(e_b, e_d): a reduced
-        den is its lead times prod Phi_j^e (`_phi_factors`, cached), as Phi_j is monic."""
-        o = QRatio._coerce(other)
-        fb, fd = dict(_phi_factors(self.den)), dict(_phi_factors(o.den))
-        lb, ld = self.den.coeffs[self.den.max_exp()], o.den.coeffs[o.den.max_exp()]
-        lead = math.lcm(lb, ld)
-        top = {j: max(fb.get(j, 0), fd.get(j, 0)) for j in sorted(fb.keys() | fd.keys())}
-        num = QLaurent.zero()
-        for p, f, k in ((self.num, fb, lead // lb), (o.num, fd, lead // ld)):
-            up = tuple((j, e - f.get(j, 0)) for j, e in top.items() if e > f.get(j, 0))
-            p = _times_phis(p, up)
-            num = num + (p * QLaurent.const(k) if k > 1 else p)
-        # a Phi_j that b and d hold to unequal powers divides one term of num only
-        equal = tuple((j, e) for j, e in fb.items() if fd.get(j) == e)
-        common = _common_phis(num, equal) if num else ()
-        num = _times_phis(num, tuple((j, -k) for j, k in common))
-        for j, k in common:
-            top[j] -= k
-        den = _phi_power(tuple((j, e) for j, e in top.items() if e))
-        return QRatio._coprime(num, den * QLaurent.const(lead) if lead > 1 else den)
+        """a/b + c/d through `_ratio_sum`: a reduced den is its lead times
+        prod Phi_j^e (`_phi_factors`, cached), as Phi_j is monic."""
+        return _ratio_sum([(r.num, r.den.coeffs[r.den.max_exp()],
+                            {j: -e for j, e in _phi_factors(r.den)})
+                           for r in (self, QRatio._coerce(other))])
 
     __radd__ = __add__
 

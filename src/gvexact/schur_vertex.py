@@ -28,7 +28,7 @@ from gvexact.partitions import (
     weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qfactorial, qfactorial_over, qnum, qnum_ratio
+from gvexact.qalgebra import QLaurent, QRatio, qfactorial_over, qnum, qnum_ratio
 
 FockVector = dict[Partition, QRatio]
 
@@ -79,12 +79,6 @@ def skew_schur_qrho(mu: Partition, eta: Partition) -> QRatio:
 
 
 @lru_cache(maxsize=None)
-def _falling(m: int, e: int) -> QLaurent:
-    """[m]! / [m-e]! for 0 <= e <= m."""
-    return qfactorial(m).divide_exact(qfactorial(m - e))
-
-
-@lru_cache(maxsize=None)
 def w_numerator(mu: Partition, nu: Partition) -> QLaurent:
     """W(mu, nu) [m]! [n]! with m = |mu|, n = |nu|: an integer Laurent
     polynomial,
@@ -100,7 +94,8 @@ def w_numerator(mu: Partition, nu: Partition) -> QLaurent:
         inner = QLaurent.zero()
         for eta in enumerate_partitions(e):
             inner = inner + skew_numerator(mu, eta) * skew_numerator(nu, eta)
-        total = total + inner * _falling(m, e) * _falling(n, e)
+        fm, fn = (qfactorial_over(k, tuple(range(k - e, 0, -1))) for k in (m, n))  # [k]!/[k-e]!
+        total = total + inner * fm * fn
     total = total.shifted(kappa(mu) + kappa(nu))
     return -total if (m + n) % 2 else total
 

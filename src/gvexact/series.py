@@ -68,6 +68,7 @@ from gvexact.partitions import (
 from gvexact.qalgebra import (
     QLaurent,
     QRatio,
+    _mul_add,
     degree_counts,
     qbinomial,
     qfactorial_over,
@@ -442,19 +443,6 @@ class DegreeSeries:
             if fd:
                 fn[d] = fd
         return out
-
-
-def _mul_add(acc: dict[int, int], a: QLaurent, b: QLaurent, shift: int = 0) -> None:
-    """acc += x^shift a b, in place on a dict of exponents to coefficients
-    that may hold zeros."""
-    a, b = a.coeffs, b.coeffs
-    if len(a) > len(b):
-        a, b = b, a
-    for e1, v1 in a.items():
-        e1 += shift
-        for e2, v2 in b.items():
-            e = e1 + e2
-            acc[e] = acc.get(e, 0) + v1 * v2
 
 
 def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:

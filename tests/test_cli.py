@@ -170,6 +170,17 @@ def test_bad_compute_input_is_usage_error(tmp_path, capsys, args, config):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("degrees", ["1,0", [1, 0]], ids=str)
+def test_config_degrees_not_integer_lists_are_named(tmp_path, capsys, degrees):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"gamma": [1, 1], "degrees": degrees}))
+    assert main(["compute", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config degrees must be a list of integer lists, not {!r}\n".format(degrees))
+
+
 def test_compute_reports_api():
     reports, ok = compute_reports(RunConfig(gamma=(1, 1), max_total_degree=2))
     assert ok and len(reports) == 5

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gvexact import qalgebra
 from gvexact.partitions import enumerate_partitions, parts_gcd
 from gvexact.qalgebra import (
     NoSuchDecomposition,
@@ -40,6 +41,7 @@ from oracles import (
     laurent_to_poly_oracle,
     pole_extract_oracle,
     qlaurent_gcd,
+    ratio_add_oracle,
 )
 
 
@@ -435,7 +437,7 @@ def test_qnum_sum_equals_summed_qnum_ratios(terms, num):
     # every term may hold negative k and [0] with a positive exponent
     expect = QRatio.zero()
     for c, counts in terms:
-        expect = expect + qnum_ratio(c, counts, num)
+        expect = ratio_add_oracle(expect, qnum_ratio(c, counts, num))
     got = qnum_sum(terms, num)
     assert got.num == expect.num and got.den == expect.den
     assert_normalized(got)
@@ -451,6 +453,65 @@ def test_qnum_sum_edge_cases():
     assert qnum_sum([(1, {2: -1}), (-2, {4: -1})]) == qnum_ratio(1, {1: 2, 4: -1})
     with pytest.raises(ZeroDivisionError):
         qnum_sum([(1, {1: 1}), (0, {0: -1})])
+
+
+@pytest.fixture
+def common_calls(monkeypatch):
+    """The factors of every `_common_phis` call, which tests for shared Phi_j."""
+    calls = []
+    common = qalgebra._common_phis
+
+    def spy(num, factors):
+        calls.append(factors)
+        return common(num, factors)
+
+    monkeypatch.setattr(qalgebra, "_common_phis", spy)
+    return calls
+
+
+def test_equal_powers_of_a_phi_cancel_in_a_sum(common_calls):
+    x2m1 = QLaurent({2: 1, 0: -1})  # x^2 - 1 = Phi_1 Phi_2, held to equal powers
+    assert QRatio(QLaurent.monomial(2), x2m1) + QRatio(QLaurent.const(-1), x2m1) == QRatio.one()
+    # 2x/(Phi_1^2 Phi_2^2) - x^2/(Phi_1^2 Phi_2) = -x(x + 2)/(Phi_1 Phi_2^2): only Phi_1,
+    # at -2 in both terms, is tested, and one power of it cancels
+    a = QRatio(QLaurent.monomial(1, 2), x2m1 * x2m1)
+    b = QRatio(QLaurent.monomial(2, -1), x2m1 * QLaurent({1: 1, 0: -1}))
+    common_calls.clear()
+    got = a + b
+    assert common_calls == [((1, 2),)]
+    assert got == QRatio(QLaurent({2: -1, 1: -2}), x2m1 * QLaurent({1: 1, 0: 1}))
+    assert got.num == ratio_add_oracle(a, b).num and got.den == ratio_add_oracle(a, b).den
+    assert got == gcd_ratio(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+@pytest.mark.parametrize("terms, tested", [
+    # 1/[2]^2 + 1/[2]: each Phi_j of [2] has its lowest exponent, -2, in one term
+    ([(1, {2: -2}), (1, {2: -1})], ()),
+    # 1/[2] - 2/[4] = [1]^2/[4]: Phi_1, Phi_2 and Phi_4 are at -1 in both terms, and
+    # Phi_1 Phi_2 cancel; Phi_8 is in one term
+    ([(1, {2: -1}), (-2, {4: -1})], ((1, 1), (2, 1), (4, 1))),
+    # 1/[1] + [1]/(2 [2][3]): Phi_1 and Phi_2 are at -1 in both terms; Phi_3, Phi_4
+    # and Phi_6 are in one
+    ([(1, {1: -1}), (Fraction(1, 2), {3: -1, 1: 1, 2: -1})], ((1, 1), (2, 1))),
+])
+def test_qnum_sum_tests_only_a_phi_two_terms_hold_lowest(common_calls, terms, tested):
+    got = qnum_sum(terms, memo=False)
+    assert common_calls == [tested]
+    expect = QRatio.zero()
+    for c, counts in terms:
+        expect = ratio_add_oracle(expect, qnum_ratio(c, counts))
+    assert got.num == expect.num and got.den == expect.den
+
+
+def test_product_with_cancelling_middle_terms_holds_no_zero():
+    for a, b, expect in [
+        ({1: 1, 0: 1}, {1: 1, 0: -1}, {2: 1, 0: -1}),  # (x + 1)(x - 1)
+        ({2: 1, 1: 1, 0: 1}, {1: -1, 0: 1}, {3: -1, 0: 1}),  # (x^2 + x + 1)(1 - x)
+        ({-2: 1, 0: 2, 2: 1}, {-2: 1, 0: -2, 2: 1}, {-4: 1, 0: -2, 4: 1}),
+    ]:
+        got = QLaurent(a) * QLaurent(b)
+        assert 0 not in got.coeffs.values()
+        assert got == QLaurent(expect) and hash(got) == hash(QLaurent(expect))
 
 
 @PROPERTY
