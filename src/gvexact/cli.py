@@ -178,6 +178,8 @@ def config_from_args(args) -> RunConfig:
         degrees = [tuple(d) for d in degrees]
     else:
         degrees = None
+    if degrees is not None and (args.max_degree is not None or "max_total_degree" in file_cfg):
+        raise ValueError("give degree vectors or a maximum degree, not both")
     paths = pick(args.paths, "paths", "def")
     if not isinstance(paths, str):
         raise ValueError("paths must be a comma-separated string such as 'def,matrix'")

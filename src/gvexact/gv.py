@@ -17,7 +17,6 @@ from gvexact.qalgebra import (
     QLaurent,
     QRatio,
     RPoly,
-    _phi_factors,
     degree_denominator,
     mobius,
     qnum,
@@ -80,7 +79,7 @@ def pole_violation(d: tuple[int, ...], f: QRatio) -> str:
     c x^s prod Phi_j^e with j | 2 gcd(d) and e <= 2, the paper's pole
     structure; otherwise the first Phi_j^e that breaks it, as a message."""
     k = 2 * math.gcd(*d)
-    for j, e in _phi_factors(f.den):
+    for j, e in f.phis:
         if k % j or e > 2:
             return f"F_{d} has the pole Phi_{j}^{e}; need j | {k}, e <= 2"
     return ""

@@ -3,16 +3,17 @@ symmetrization maps onto polynomials in t = [1]^2 and y = [1/2]^2.
 
 Exponents are stored as integers counting units of 1/2 (so the q-power k
 lives at exponent 2k).  Laurent polynomials have integer coefficients; every
-rational value, constants included, is a QRatio of two of them, and the t-
-and y-images are polynomials over Q, kept as integer numerators over one
-denominator (RPoly).  Membership of an image in Q[t] and in Z[t] is decided
-on the Laurent numerator alone; the integer numerators of the image are
-built only when first read.  No floating point ever enters.
-Ratios are reduced over the cyclotomic factors Phi_j of their denominators,
-with no polynomial gcd.  One kernel (`_times_phis`) applies every product of
-Phi_j powers, through the binomials Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d);
-a product of two ratios tests each numerator only against the other's
-denominator.  Every sum of ratios, of q-number products (`qnum_sum`) or of two
+rational value, constants included, is a QRatio: a Laurent numerator over a
+denominator kept factored, lead prod Phi_j^e, reduced over those Phi_j with
+no polynomial gcd (only a denominator given as a polynomial is factored,
+once).  The t- and y-images are polynomials over Q, kept as integer
+numerators over one denominator (RPoly).  Membership of an image in Q[t] and
+in Z[t] is decided on the Laurent numerator alone; the integer numerators of
+the image are built only when first read.  No floating point ever enters.
+One kernel (`_times_phis`) applies every product of Phi_j powers, through
+the binomials Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d); a product of two
+ratios tests each numerator only against the other's Phi_j and adds the
+exponents.  Every sum of ratios, of q-number products (`qnum_sum`) or of two
 QRatios, goes through one core (`_ratio_sum`): the terms are added as integers
 over lcm(lead) prod Phi_j^(-min e_j) and reduced once, testing only a Phi_j
 whose lowest exponent two terms share.  One loop (`_mul_add`) forms every
@@ -213,17 +214,6 @@ def _mul_add(acc: dict[int, int], a: QLaurent, b: QLaurent, shift: int = 0) -> N
             acc[e] = acc.get(e, 0) + v1 * v2
 
 
-def _primitive(*polys: dict[int, int]) -> tuple[dict[int, int], ...]:
-    """Integer polynomials divided by the gcd of all their coefficients,
-    signed so that the last one has a positive leading coefficient."""
-    g = math.gcd(*(c for p in polys for c in p.values()))
-    if polys[-1] and polys[-1][max(polys[-1])] < 0:
-        g = -g
-    if g in (0, 1):
-        return polys
-    return tuple({e: c // g for e, c in p.items()} for p in polys)
-
-
 # ---------------------------------------------------------------------------
 # q-numbers
 # ---------------------------------------------------------------------------
@@ -353,15 +343,22 @@ def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
         ((total, lcm, low),) = terms
         low, ties = dict(sorted(low.items())), ()
     else:
-        exps = {j: sorted(p.get(j, 0) for _, _, p in terms)
-                for j in sorted(set().union(*(p for _, _, p in terms)))}
-        low = {j: e[0] for j, e in exps.items()}
-        ties = {j for j, e in exps.items() if e[1] == e[0]}  # lowest exponent attained twice
+        low, ties = {}, set()
+        for j in sorted(set().union(*(p for _, _, p in terms))):
+            es = [p.get(j, 0) for _, _, p in terms]
+            low[j] = e = min(es)
+            if es.count(e) > 1:  # lowest exponent attained twice
+                ties.add(j)
         lcm = math.lcm(*(lead for _, lead, _ in terms))
         acc: dict[int, int] = {}
         for p, lead, phis in terms:
-            excess = tuple((j, phis.get(j, 0) - e) for j, e in low.items() if phis.get(j, 0) > e)
-            _mul_add(acc, p * QLaurent.const(lcm // lead) if lead < lcm else p, _phi_power(excess))
+            f = lcm // lead
+            excess = tuple((j, x - e) for j, e in low.items() if (x := phis.get(j, 0)) > e)
+            if excess:
+                _mul_add(acc, p * QLaurent.const(f) if f > 1 else p, _phi_power(excess))
+            else:
+                for e, v in p.coeffs.items():
+                    acc[e] = acc.get(e, 0) + f * v
         total = _laurent(acc if all(acc.values()) else {e: v for e, v in acc.items() if v})
     total = total if num is None else total * num
     common = _common_phis(total, () if len(total.coeffs) < 2 else tuple(
@@ -371,8 +368,7 @@ def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
     # the Phi_j left up and the common ones divided out, in one call of the kernel
     total = _times_phis(total, tuple((j, e) for j, e in low.items() if e > 0)
                         + tuple((j, -k) for j, k in common))
-    den = _phi_power(tuple((j, -e) for j, e in low.items() if e < 0))
-    return QRatio._coprime(total, den * QLaurent.const(lcm) if lcm > 1 else den)
+    return QRatio._coprime(total, lcm, tuple((j, -e) for j, e in low.items() if e < 0))
 
 
 @lru_cache(maxsize=None)
@@ -425,8 +421,9 @@ def _common_phis(num: QLaurent, factors: tuple) -> tuple[tuple[int, int], ...]:
 def _phi_factors(den: QLaurent) -> tuple[tuple[int, int], ...]:
     """The (j, e) with den = c x^s prod Phi_j^e, by trial over increasing j;
     any other den is a ValueError once j > 2 deg^2 for the degree deg left,
-    as phi(j) >= sqrt(j/2).  Cached: the denominators of a run repeat (one
-    poles-graphs sample factors 33 distinct ones in 665 calls)."""
+    as phi(j) >= sqrt(j/2).  Only QRatio(num, den) and substitute_power call
+    it, and their denominators repeat (one poles-graphs sample factors 3
+    distinct ones in 164 calls, all substitute_power), so it is cached."""
     rest = den.max_exp() - den.min_exp()
     out = []
     j = 1
@@ -499,52 +496,49 @@ def _shape_denominator(shape: tuple[int, ...]) -> QLaurent:
 
 
 class QRatio:
-    """Reduced ratio num/den of integer Laurent polynomials.
+    """Reduced ratio num / (lead prod Phi_j^e) of an integer Laurent
+    polynomial num and a denominator kept factored: a positive integer lead
+    and `phis`, the sorted (j, e) with e > 0.
 
-    den must be an integer times a monomial times Phi_j, as q-numbers, D_d
-    and t_k are (`_phi_factors`); num and den are divided once by the
-    highest power of each Phi_j that divides both, with no polynomial gcd.
-
-    Invariants after construction: den has lowest exponent 0 and a positive
-    leading coefficient; num and den share no polynomial factor, and the gcd
-    of all their coefficients is 1 (a rational constant a/b is QRatio(a, b)).
-    Monomial units stay in the numerator, so the numerator may be a genuine
-    Laurent polynomial.  The form is canonical, so == and hash use (num, den).
+    QRatio(num, den) takes any den that is an integer times a monomial times
+    Phi_j, as q-numbers, D_d and t_k are, and factors it once (`_phi_factors`):
+    den's monomial moves into num, and the highest power of each Phi_j that
+    divides num is divided out, with no polynomial gcd.  Invariants: num is
+    prime to every Phi_j of phis, and lead to num's content (a rational
+    constant a/b has num a, lead b).  The form is canonical, so == and hash
+    use (num, lead, phis); `den` expands the denominator when read.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "lead", "phis")
 
     def __init__(self, num: QLaurent, den: QLaurent | None = None):
         if den is None:
             den = QLaurent.one()
         if den.is_zero():
             raise ZeroDivisionError("QRatio with zero denominator")
-        if num and len(den.coeffs) > 1:
-            inverse = tuple((j, -k) for j, k in _common_phis(num, _phi_factors(den)))
-            num, den = _times_phis(num, inverse), _times_phis(den, inverse)
-        self._normalize(num, den)
-
-    def _normalize(self, num: QLaurent, den: QLaurent) -> None:
-        """Store num/den, already free of common polynomial factors, with
-        den shifted to lowest exponent 0 and the integer content divided out."""
-        if num.is_zero():
-            self.num = QLaurent.zero()
-            self.den = QLaurent.one()
-            return
-        dv = den.min_exp()
-        if dv:
-            num, den = num.shifted(-dv), den.shifted(-dv)
-        nc, dc = _primitive(num.coeffs, den.coeffs)
-        self.num = _laurent(nc)
-        self.den = _laurent(dc)
+        phis = _phi_factors(den) if num and len(den.coeffs) > 1 else ()
+        common = dict(_common_phis(num, phis))
+        num = _times_phis(num.shifted(-den.min_exp()), tuple((j, -k) for j, k in common.items()))
+        phis = tuple((j, e - common.get(j, 0)) for j, e in phis if e > common.get(j, 0))
+        r = QRatio._coprime(num, den.coeffs[den.max_exp()], phis)
+        self.num, self.lead, self.phis = r.num, r.lead, r.phis
 
     @staticmethod
-    def _coprime(num: QLaurent, den: QLaurent) -> "QRatio":
-        """num/den for operands known to share no polynomial factor: the
-        constructor without the factoring."""
+    def _coprime(num: QLaurent, lead: int, phis: tuple[tuple[int, int], ...]) -> "QRatio":
+        """num / (lead prod Phi_j^e) for a num prime to those Phi_j: the
+        gcd of lead and num's content divided out, and lead made positive."""
+        g = math.gcd(lead, *num.coeffs.values())
+        g = -g if lead < 0 else g
+        if g != 1:
+            num = _laurent({e: c // g for e, c in num.coeffs.items()})
         out = QRatio.__new__(QRatio)
-        out._normalize(num, den)
+        out.num, out.lead, out.phis = num, lead // g, phis if num else ()
         return out
+
+    @property
+    def den(self) -> QLaurent:
+        """lead prod Phi_j^e, expanded."""
+        return _phi_power(self.phis) * QLaurent.const(self.lead)
 
     # -- constructors ---------------------------------------------------------
 
@@ -559,7 +553,7 @@ class QRatio:
     @staticmethod
     def const(v) -> "QRatio":
         v = Fraction(v)
-        return QRatio(QLaurent.const(v.numerator), QLaurent.const(v.denominator))
+        return QRatio._coprime(QLaurent.const(v.numerator), v.denominator, ())
 
     # -- structure -------------------------------------------------------------
 
@@ -568,23 +562,16 @@ class QRatio:
 
     def is_laurent(self) -> bool:
         """A Laurent polynomial over Q: the denominator is a constant."""
-        return len(self.den.coeffs) == 1
-
-    def is_monomial(self) -> bool:
-        """A nonzero rational multiple of a power of x, a unit of the ring."""
-        return len(self.num.coeffs) == 1 and len(self.den.coeffs) == 1
+        return not self.phis
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             raise TypeError("compare a QRatio with a QRatio, not with a number")
-        return (
-            isinstance(other, QRatio)
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return isinstance(other, QRatio) and (
+            (self.num, self.lead, self.phis) == (other.num, other.lead, other.phis))
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.lead, self.phis))
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -596,48 +583,41 @@ class QRatio:
         return v if isinstance(v, QRatio) else QRatio.const(v)
 
     def __add__(self, other) -> "QRatio":
-        """a/b + c/d through `_ratio_sum`: a reduced den is its lead times
-        prod Phi_j^e (`_phi_factors`, cached), as Phi_j is monic."""
-        return _ratio_sum([(r.num, r.den.coeffs[r.den.max_exp()],
-                            {j: -e for j, e in _phi_factors(r.den)})
+        """a/b + c/d through `_ratio_sum`, on the factored denominators."""
+        return _ratio_sum([(r.num, r.lead, {j: -e for j, e in r.phis})
                            for r in (self, QRatio._coerce(other))])
 
     __radd__ = __add__
 
     def __neg__(self) -> "QRatio":
         out = QRatio.__new__(QRatio)
-        out.num = -self.num
-        out.den = self.den
+        out.num, out.lead, out.phis = -self.num, self.lead, self.phis
         return out
 
     def __sub__(self, other) -> "QRatio":
         return self + (-QRatio._coerce(other))
 
-    # Both operands are reduced, so a monomial factor (a unit, constants
-    # included) cannot create a common factor: those products skip the fold
-    # tests.  Otherwise, in a/b c/d only a and d, or c and b, can share a
-    # Phi_j (Knuth, TAOCP vol. 2, 4.5.1): each pair is tested and divided
-    # before the two products are formed.
+    # Both operands are reduced, so in a/b c/d only a and d, or c and b, can
+    # share a Phi_j (Knuth, TAOCP vol. 2, 4.5.1), and a monomial numerator (a
+    # unit) shares none: each pair is tested and divided out of the numerator
+    # before the product is formed, and the exponents of b and d add up.
 
     def __mul__(self, other) -> "QRatio":
         o = QRatio._coerce(other)
-        (a, b), (c, d) = (self.num, self.den), (o.num, o.den)
-        if a and c and not (self.is_monomial() or o.is_monomial()):
-            ad = tuple((j, -k) for j, k in _common_phis(a, _phi_factors(d)))
-            cb = tuple((j, -k) for j, k in _common_phis(c, _phi_factors(b)))
-            a, d = _times_phis(a, ad), _times_phis(d, ad)
-            c, b = _times_phis(c, cb), _times_phis(b, cb)
-        return QRatio._coprime(a * c, b * d)
+        (a, b), (c, d) = (self.num, self.phis), (o.num, o.phis)
+        ad = tuple((j, -k) for j, k in _common_phis(a, d)) if len(a.coeffs) > 1 else ()
+        cb = tuple((j, -k) for j, k in _common_phis(c, b)) if len(c.coeffs) > 1 else ()
+        phis = dict(b)
+        for j, e in d + ad + cb:
+            phis[j] = phis.get(j, 0) + e
+        return QRatio._coprime(_times_phis(a, ad) * _times_phis(c, cb), self.lead * o.lead,
+                               tuple(sorted((j, e) for j, e in phis.items() if e)))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QRatio":
         o = QRatio._coerce(other)
-        if o.is_zero():
-            raise ZeroDivisionError("QRatio division by zero")
-        inverse = QRatio._coprime(o.den, o.num)
-        _phi_factors(inverse.den)  # o.num becomes a denominator: refuse it unless cyclotomic
-        return self * inverse
+        return self * QRatio(o.den, o.num)  # o.num becomes a denominator: refused unless cyclotomic
 
     def __rtruediv__(self, other) -> "QRatio":
         return QRatio._coerce(other) / self
@@ -647,9 +627,9 @@ class QRatio:
         if m < 1:
             raise ValueError("substitution power must be >= 1")
         # q -> q^m maps a Bezout identity u*num + v*den = 1 to another one and
-        # keeps every coefficient, den's lowest exponent 0 and its lead sign,
-        # so the image of a reduced ratio is reduced.
-        return QRatio._coprime(self.num.substitute_power(m), self.den.substitute_power(m))
+        # keeps every coefficient, so the image of a reduced ratio is reduced.
+        return QRatio._coprime(self.num.substitute_power(m), self.lead,
+                               _phi_factors(_phi_power(self.phis).substitute_power(m)))
 
     def __repr__(self) -> str:
         return f"QRatio({format_qratio(self)})"
@@ -765,7 +745,7 @@ def _laurent_to_poly(f: QRatio, step: int) -> RPoly:
     if any(e % step for e in p.coeffs):
         raise NotSymmetricInT("exponent parity does not match the target ring")
     out = RPoly.__new__(RPoly)
-    out._nums, out._src, out.den = None, (p, step), f.den.coeffs[0]
+    out._nums, out._src, out.den = None, (p, step), f.lead
     return out
 
 

@@ -94,7 +94,6 @@ from gvexact.qalgebra import (
     NotSymmetricInT,
     QLaurent,
     QRatio,
-    _primitive,
     _t_k_coeffs,
     degree_counts,
     degree_denominator,
@@ -116,6 +115,17 @@ from gvexact.series import (
     downward_closure,
     z_numerator,
 )
+
+
+def _primitive(*polys: dict[int, int]) -> tuple[dict[int, int], ...]:
+    """Integer polynomials divided by the gcd of all their coefficients,
+    signed so that the last one has a positive leading coefficient."""
+    g = math.gcd(*(c for p in polys for c in p.values()))
+    if polys[-1] and polys[-1][max(polys[-1])] < 0:
+        g = -g
+    if g in (0, 1):
+        return polys
+    return tuple({e: c // g for e, c in p.items()} for p in polys)
 
 
 def _int_poly_gcd(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -168,7 +178,7 @@ def gcd_ratio(num: QLaurent, den: QLaurent | None = None) -> QRatio:
         # a monomial is a unit of the Laurent ring and shares no factor
         g = qlaurent_gcd(num, den)
         num, den = num.divide_exact(g), den.divide_exact(g)
-    return QRatio._coprime(num, den)
+    return QRatio(num, den)
 
 
 def schur_qrho_hook(mu) -> QRatio:
@@ -739,11 +749,8 @@ def phi_power_oracle(factors) -> QLaurent:
 
 
 def ratio_mul_oracle(a: QRatio, b: QRatio) -> QRatio:
-    """a b with the whole product reduced again, unless a factor is a monomial."""
-    num, den = a.num * b.num, a.den * b.den
-    if a.is_monomial() or b.is_monomial():
-        return QRatio._coprime(num, den)
-    return QRatio(num, den)
+    """a b with the whole product reduced again."""
+    return QRatio(a.num * b.num, a.den * b.den)
 
 
 def ratio_add_oracle(a: QRatio, b: QRatio) -> QRatio:

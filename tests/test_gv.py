@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gvexact.gv import PRESETS, divisors, integrality_report, mobius, pole_violation
-from gvexact.qalgebra import QLaurent, QRatio, RPoly, qnum, t_k_qratio
+from gvexact.qalgebra import QLaurent, QRatio, RPoly, _phi_factors, qnum, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
 from oracles import g_of_d, integrality_report_oracle, mobius_sum
 
@@ -186,6 +186,20 @@ def test_non_integral_verdict_names_the_broken_pole():
     assert rep.integral is False and rep.g_poly is None
     assert rep.notes == "t*G not in Q[t]: nontrivial denominator after reduction; " + broken
     assert pole_violation((3, 1), QRatio.const(Fraction(1, 2))) == ""
+
+
+@pytest.mark.parametrize("d, pole", [((3, 3), "Phi_4^3"), ((2, 2), "Phi_3^2"), ((6, 6), "Phi_4^3"),
+                                     ((4, 8), "Phi_3^2")], ids=str)
+def test_pole_violation_reads_the_reduced_denominator(d, pole):
+    # (1 + 2x) [1]^3 / (7 x^5 [3]^2 [2]^3) reduces to Phi_1^2 Phi_2^2 Phi_3^2
+    # Phi_4^3 Phi_6^2 below: the first Phi_j^e with j not dividing 2 gcd(d),
+    # or e > 2, is named, as when the expanded den was factored again
+    num = QLaurent({0: 1, 1: 2}) * qnum(1) * qnum(1) * qnum(1)
+    den = (qnum(3) * qnum(3) * qnum(2) * qnum(2) * qnum(2)).shifted(5) * QLaurent.const(7)
+    f = QRatio(num, den)
+    assert f.phis == _phi_factors(f.den) == ((1, 2), (2, 2), (3, 2), (4, 3), (6, 2))
+    k = 2 * math.gcd(*d)
+    assert pole_violation(d, f) == f"F_{d} has the pole {pole}; need j | {k}, e <= 2"
 
 
 def test_report_refuses_degrees_outside_the_series():

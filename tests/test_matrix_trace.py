@@ -61,15 +61,18 @@ def test_schur_trace_matches_transfer_trace(gamma):
 
 def test_gram_matrix_is_the_vertex_numerator():
     # G(m, n)[rho][sigma] = (-1)^(m+n) x^(-kappa(rho)-kappa(sigma)) w_numerator(rho, sigma),
-    # so framing slot i by q^((gamma_i+2) F2) gives the def path's trace
-    for m in range(9):
-        for n in range(9 - m):
-            gram = gram_matrix(m, n)
-            for rho in enumerate_partitions(m):
-                for sigma in enumerate_partitions(n):
-                    w = w_numerator(rho, sigma).shifted(-kappa(rho) - kappa(sigma))
-                    want = -w if (m + n) % 2 else w
-                    assert gram.get(rho, {}).get(sigma, QLaurent.zero()) == want, (rho, sigma)
+    # a missing entry counting as 0, for m + n <= 8 and for m, n <= 5: the
+    # signs cancel around the cycle, so framing slot i by q^((gamma_i+2) F2)
+    # gives the def path's trace, and the def/matrix check compares the
+    # skew-Schur eta-sum with the power-sum Gram contraction (column
+    # orthogonality of the characters)
+    for m, n in [(m, n) for m in range(9) for n in range(9) if m + n <= 8 or max(m, n) <= 5]:
+        gram = gram_matrix(m, n)
+        for rho in enumerate_partitions(m):
+            for sigma in enumerate_partitions(n):
+                w = w_numerator(rho, sigma).shifted(-kappa(rho) - kappa(sigma))
+                want = -w if (m + n) % 2 else w
+                assert gram.get(rho, {}).get(sigma, QLaurent.zero()) == want, (rho, sigma)
 
 
 @pytest.mark.parametrize("gamma,cap", [(PRESETS["P2"], 8), (PRESETS["F0"], 6)], ids=str)

@@ -39,6 +39,7 @@ from oracles import (
     degree_denominator_chain,
     gcd_ratio,
     laurent_to_poly_oracle,
+    phi_power_oracle,
     pole_extract_oracle,
     qlaurent_gcd,
     ratio_add_oracle,
@@ -386,6 +387,32 @@ def test_substitute_power_equals_full_gcd_construction(a, m):
     sub = a.substitute_power(m)
     full = gcd_ratio(a.num.substitute_power(m), a.den.substitute_power(m))
     assert sub.num == full.num and sub.den == full.den
+
+
+@PROPERTY
+@given(laurents, phi_products, st.integers(1, 4))
+def test_factored_denominator_is_the_gcd_reduction(num, den, m):
+    # QRatio keeps den as lead prod Phi_j^e: den's monomial moves into num,
+    # and the expanded den is the one the polynomial gcd leaves
+    r = QRatio(num, den)
+    assert r.lead > 0 and all(e > 0 for _, e in r.phis) and list(r.phis) == sorted(r.phis)
+    assert r.den == gcd_ratio(r.num, r.den).den == phi_power_oracle(r.phis) * QLaurent.const(r.lead)
+    assert r.substitute_power(m).phis == _phi_factors(r.den.substitute_power(m))
+    for x0 in POINTS:
+        if value(QRatio(den), x0):
+            assert value(r, x0) == value(QRatio(num), x0) / value(QRatio(den), x0)
+
+
+non_monomials = ratios.filter(lambda r: r.phis or len(r.num.coeffs) > 1)
+
+
+@PROPERTY
+@given(non_monomials, non_monomials)
+def test_sums_and_products_factor_no_denominator(a, b):
+    # non-monomial operands carry their Phi_j exponents, so + and * never look one up
+    before = _phi_factors.cache_info()
+    a + b, a - b, a * b
+    assert _phi_factors.cache_info() == before
 
 
 @PROPERTY
