@@ -8,7 +8,7 @@ base variable is x = q^(1/2), and integrality is a verdict, never a rounding.
 from gvexact.partitions import Partition, RSet, enumerate_partitions, kappa
 from gvexact.qalgebra import QLaurent, QRatio, RPoly, mobius, qnum, qnum_product, t_k_in_t
 from gvexact.gv import GvReport, PRESETS, integrality_report
-from gvexact.series import DegreeSeries, build_z_series, z_coefficient_def
+from gvexact.series import DegreeSeries, build_z_series
 
 __all__ = [
     "Partition",
@@ -27,5 +27,4 @@ __all__ = [
     "mobius",
     "DegreeSeries",
     "build_z_series",
-    "z_coefficient_def",
 ]

@@ -28,9 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from gvexact.gv import divisors
 from gvexact.partitions import Partition, RSet, union
-from gvexact.qalgebra import QRatio, mobius, pole_extract, qnum_ratio, qnum_sum
+from gvexact.qalgebra import QRatio, divisors, mobius, pole_extract, qnum_ratio, qnum_sum
 
 # A node is a nested tuple:
 #   ("L", index, c, n)                      original operator (a leaf)

@@ -18,8 +18,9 @@ from gvexact.qalgebra import (
     QRatio,
     RPoly,
     degree_denominator,
+    divisors,
     mobius,
-    qnum,
+    qnum_product,
     to_t_poly,
 )
 
@@ -30,12 +31,6 @@ PRESETS: dict[str, tuple[int, ...]] = {
     "B2": (0, 0, -1, -1, -1),
     "B3": (-1, -1, -1, -1, -1, -1),
 }
-
-
-def divisors(n: int) -> list[int]:
-    if n < 1:
-        raise ValueError("divisors needs n >= 1")
-    return [d for d in range(1, n + 1) if n % d == 0]
 
 
 @dataclass
@@ -60,18 +55,10 @@ class GvReport:
         }
 
 
-T_ONE = qnum(1) * qnum(1)  # t = [1]^2
-
-
 def _mobius_cofactor(d: tuple[int, ...], m: int) -> QLaurent:
     """D_d / D_(d/m)(q^m) = prod_i prod_{j <= d_i, m does not divide j} [j]^2,
     since D_(d/m)(q^m) = prod_i prod_{j <= d_i/m} [mj]^2."""
-    out = QLaurent.one()
-    for di in d:
-        for j in range(1, di + 1):
-            if j % m:
-                out = out * qnum(j) * qnum(j)
-    return out
+    return qnum_product([j for di in d for j in range(1, di + 1) if j % m] * 2)
 
 
 def pole_violation(d: tuple[int, ...], f: QRatio) -> str:
@@ -118,7 +105,7 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
             term = term * _mobius_cofactor(d, m)
             total = total + term if mu > 0 else total - term
     try:
-        tg = (total * T_ONE).divide_exact(degree_denominator(d))
+        tg = (total * qnum_product((1, 1))).divide_exact(degree_denominator(d))  # t = [1]^2
     except ValueError:
         return _rejected(gamma, d, fs, None,
                          "t*G not in Q[t]: nontrivial denominator after reduction")

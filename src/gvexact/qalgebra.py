@@ -9,12 +9,17 @@ no polynomial gcd (only a denominator given as a polynomial is factored,
 once).  The t- and y-images are polynomials over Q, kept as integer
 numerators over one denominator (RPoly).  Membership of an image in Q[t] and
 in Z[t] is decided on the Laurent numerator alone; the integer numerators of
-the image are built only when first read.  No floating point ever enters.
-One kernel (`_times_phis`) applies every product of Phi_j powers, through
-the binomials Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d); a product of two
-ratios tests each numerator only against the other's Phi_j and adds the
-exponents.  Every sum of ratios, of q-number products (`qnum_sum`) or of two
-QRatios, goes through one core (`_ratio_sum`): the terms are added as integers
+the image are built only when first read.  No floating point ever enters: a
+float given as a constant is a TypeError.  One cached builder
+(`qnum_product`) forms every product and exact quotient of q-numbers, [n]!,
+D_d and the binomial and Mobius cofactors among them; a product reuses the
+cached product of all but its largest q-number.  One kernel (`_times_phis`)
+applies every product of Phi_j powers, through the binomials
+Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d); a product of two ratios tests
+each numerator only against the other's Phi_j and adds the exponents, and
+q -> q^m maps each Phi_j to its Phi_k in closed form (`_phis_at_power`).
+Every sum of ratios, of q-number products (`qnum_sum`) or of two QRatios,
+goes through one core (`_ratio_sum`): the terms are added as integers
 over lcm(lead) prod Phi_j^(-min e_j) and reduced once, testing only a Phi_j
 whose lowest exponent two terms share.  One loop (`_mul_add`) forms every
 product of Laurent polynomials.  Pole extraction folds the Laurent numerator
@@ -27,8 +32,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-from gvexact.partitions import Partition
 
 
 class NotSymmetricInT(ValueError):
@@ -245,12 +248,19 @@ def mobius(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+def divisors(n: int) -> list[int]:
+    """The divisors of n >= 1, increasing."""
+    if n < 1:
+        raise ValueError("divisors needs n >= 1")
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
 def cyclotomic(n: int) -> QLaurent:
-    """The n-th cyclotomic polynomial Phi_n(x), from its binomials (`_times_phis`)."""
+    """The n-th cyclotomic polynomial Phi_n(x), from its binomials (`_times_phis`),
+    through the cache of Phi_j products (`_phi_power`)."""
     if n < 1:
         raise ValueError("cyclotomic needs n >= 1")
-    return _times_phis(QLaurent.one(), ((n, 1),))
+    return _phi_power(((n, 1),))
 
 
 def _times_phis(p: QLaurent, factors: tuple[tuple[int, int], ...]) -> QLaurent:
@@ -271,9 +281,8 @@ def _binomial_split(factors: tuple[tuple[int, int], ...]) -> tuple[QLaurent | No
     exponent netted over the factors, goes up or down.  Both (None when empty) are sparse."""
     net: dict[int, int] = {}
     for j, e in factors:
-        for d in range(1, j + 1):
-            if j % d == 0:
-                net[d] = net.get(d, 0) + mobius(j // d) * e
+        for d in divisors(j):
+            net[d] = net.get(d, 0) + mobius(j // d) * e
     out = [QLaurent.one(), QLaurent.one()]  # up, down
     for d, n in sorted(net.items()):
         for _ in range(abs(n)):  # a product with x^d - 1: a shift and a subtraction
@@ -284,7 +293,7 @@ def _binomial_split(factors: tuple[tuple[int, int], ...]) -> tuple[QLaurent | No
 @lru_cache(maxsize=None)
 def _cyclotomic_indices(k: int) -> tuple[int, ...]:
     """The divisors j of 2k: [k] = x^-k prod_j Phi_j(x)."""
-    return tuple(j for j in range(1, 2 * k + 1) if (2 * k) % j == 0)
+    return tuple(divisors(2 * k))
 
 
 def qnum_ratio(const, counts: dict[int, int], num: QLaurent | None = None) -> "QRatio":
@@ -302,11 +311,11 @@ def qnum_sum(terms, num: QLaurent | None = None, memo: bool = True) -> "QRatio":
     With no num, unless `memo` is False, the sum is memoized on its canonical terms, Fraction(const)
     and the sorted nonzero (k, e) pairs, as amplitudes repeat: it is shared and read-only."""
     if num is None and memo:
-        return _memo_sum(tuple((Fraction(c), tuple(sorted((k, e) for k, e in counts.items() if e)))
+        return _memo_sum(tuple((_exact(c), tuple(sorted((k, e) for k, e in counts.items() if e)))
                                for c, counts in terms))
     walked = []
     for const, counts in terms:
-        c = Fraction(const)
+        c = _exact(const)
         phis: dict[int, int] = {}
         shift = 0
         for k, e in counts.items():
@@ -327,6 +336,14 @@ def qnum_sum(terms, num: QLaurent | None = None, memo: bool = True) -> "QRatio":
         if c:
             walked.append((_laurent({shift: c.numerator}), c.denominator, phis))
     return _ratio_sum(walked, num)
+
+
+def _exact(v) -> Fraction:
+    """Fraction(v) for an exact number v; a float is a TypeError, since its
+    binary expansion would pass for an exact value (0.1 for 3602879701896397/2^55)."""
+    if isinstance(v, float):
+        raise TypeError(f"{v!r} is a float; exact arithmetic takes an int or a Fraction")
+    return Fraction(v)
 
 
 def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
@@ -418,12 +435,27 @@ def _common_phis(num: QLaurent, factors: tuple) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def _phis_at_power(phis: tuple[tuple[int, int], ...], m: int) -> tuple[tuple[int, int], ...]:
+    """The sorted (k, c), c > 0, with prod Phi_j(x^m)^e = prod Phi_k^c over the
+    (j, e) of phis, with no polynomial built: Phi_j(x^m) = prod_(d | j)
+    (x^(dm) - 1)^mobius(j/d) and x^n - 1 = prod_(k | n) Phi_k, so c is the
+    sum of e mobius(j/d) over the d | j with k | dm.  Cached, as the
+    denominators that a run substitutes repeat."""
+    net: dict[int, int] = {}
+    for j, e in phis:
+        for d in divisors(j):
+            for k in divisors(d * m):
+                net[k] = net.get(k, 0) + mobius(j // d) * e
+    return tuple((k, c) for k, c in sorted(net.items()) if c)
+
+
+@lru_cache(maxsize=None)
 def _phi_factors(den: QLaurent) -> tuple[tuple[int, int], ...]:
     """The (j, e) with den = c x^s prod Phi_j^e, by trial over increasing j;
     any other den is a ValueError once j > 2 deg^2 for the degree deg left,
-    as phi(j) >= sqrt(j/2).  Only QRatio(num, den) and substitute_power call
-    it, and their denominators repeat (one poles-graphs sample factors 3
-    distinct ones in 164 calls, all substitute_power), so it is cached."""
+    as phi(j) >= sqrt(j/2).  Only QRatio(num, den) calls it, on its own or
+    in a quotient (`__truediv__`), and its denominators repeat (`gv verify
+    --suite pole-structure` factors 3 distinct ones in 73 calls), so it is cached."""
     rest = den.max_exp() - den.min_exp()
     out = []
     j = 1
@@ -439,29 +471,25 @@ def _phi_factors(den: QLaurent) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def qnum_product(p: Partition) -> QLaurent:
-    """[p] = prod over parts [p_i]; empty product is 1."""
-    out = QLaurent.one()
-    for a in p:
-        out = out * qnum(a)
-    return out
+def qnum_product(up, down=()) -> QLaurent:
+    """prod_(k in up) [k] / prod_(k in down) [k] as an integer Laurent
+    polynomial, so [p] for a partition p; the empty product is 1.  A quotient
+    that is not a Laurent polynomial is a ValueError (`divide_exact`).  Every
+    product of q-numbers is built here: [n]! is qnum_product(range(1, n + 1)),
+    and D_d (`degree_denominator`), the log's cofactors and the Mobius
+    cofactors are one call each.  Cached on up and down sorted in
+    non-increasing order (`_qnum_quotient`); the result is shared and read-only."""
+    return _qnum_quotient(tuple(sorted(up, reverse=True)), tuple(sorted(down, reverse=True)))
 
 
 @lru_cache(maxsize=None)
-def qfactorial(n: int) -> QLaurent:
-    """[n]! = [1][2]...[n]; [0]! = 1."""
-    return QLaurent.one() if n == 0 else qfactorial(n - 1) * qnum(n)
-
-
-def qbinomial(n: int, k: int) -> QLaurent:
-    """[n]! / ([k]! [n-k]!), an integer Laurent polynomial for 0 <= k <= n."""
-    return qfactorial(n).divide_exact(qfactorial(k) * qfactorial(n - k))
-
-
-@lru_cache(maxsize=None)
-def qfactorial_over(n: int, p: Partition) -> QLaurent:
-    """[n]! / [p] for |p| <= n, an integer Laurent polynomial."""
-    return qfactorial(n).divide_exact(qnum_product(p))
+def _qnum_quotient(up: tuple[int, ...], down: tuple[int, ...]) -> QLaurent:
+    """`qnum_product` on sorted tuples.  A product is [up[0]] times the cached
+    product of the rest, so [n]! reuses [n-1]! and D_d reuses its suffixes,
+    and a quotient is one exact division of the two cached products."""
+    if down:
+        return _qnum_quotient(up, ()).divide_exact(_qnum_quotient(down, ()))
+    return qnum(up[0]) * _qnum_quotient(up[1:], ()) if up else QLaurent.one()
 
 
 def degree_counts(d: tuple[int, ...]) -> dict[int, int]:
@@ -475,19 +503,10 @@ def degree_counts(d: tuple[int, ...]) -> dict[int, int]:
 
 def degree_denominator(d: tuple[int, ...]) -> QLaurent:
     """D_d = prod_i [d_i]!^2: Z_d D_d and |d| F_d D_d are integer Laurent
-    polynomials.  Its leading coefficient is 1."""
-    return _shape_denominator(tuple(sorted(di for di in d if di)))
-
-
-@lru_cache(maxsize=None)
-def _shape_denominator(shape: tuple[int, ...]) -> QLaurent:
-    """D_d for the sorted nonzero parts of d.  Cached on that shape, not on d:
-    the degrees of a run share few shapes (the 403 degrees of a sweep-wide
-    sample have 11)."""
-    out = QLaurent.one()
-    for di in shape:
-        out = out * qfactorial(di) * qfactorial(di)
-    return out
+    polynomials.  Its leading coefficient is 1.  The permutations of d, and
+    its zeros, leave the sorted q-numbers unchanged, so they share one entry
+    of the `qnum_product` cache."""
+    return qnum_product([k for di in d for k in range(1, di + 1)] * 2)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +571,7 @@ class QRatio:
 
     @staticmethod
     def const(v) -> "QRatio":
-        v = Fraction(v)
+        v = _exact(v)
         return QRatio._coprime(QLaurent.const(v.numerator), v.denominator, ())
 
     # -- structure -------------------------------------------------------------
@@ -623,13 +642,14 @@ class QRatio:
         return QRatio._coerce(other) / self
 
     def substitute_power(self, m: int) -> "QRatio":
-        """q -> q^m, a ring homomorphism; m >= 1."""
+        """q -> q^m, a ring homomorphism; m >= 1.  The denominator's factors
+        follow in closed form (`_phis_at_power`), with no polynomial built."""
         if m < 1:
             raise ValueError("substitution power must be >= 1")
         # q -> q^m maps a Bezout identity u*num + v*den = 1 to another one and
         # keeps every coefficient, so the image of a reduced ratio is reduced.
         return QRatio._coprime(self.num.substitute_power(m), self.lead,
-                               _phi_factors(_phi_power(self.phis).substitute_power(m)))
+                               _phis_at_power(self.phis, m))
 
     def __repr__(self) -> str:
         return f"QRatio({format_qratio(self)})"
@@ -786,7 +806,7 @@ def try_to_t_poly(f: QRatio) -> RPoly | None:
 @lru_cache(maxsize=None)
 def t_k_qratio(k: int) -> QRatio:
     """t_k = [k]^2 as a QRatio, cached: the result is shared and read-only."""
-    return QRatio(qnum(k) * qnum(k))
+    return QRatio(qnum_product((k, k)))
 
 
 def pole_extract(f: QRatio, k: int, mode: str = "plain") -> tuple[Fraction, RPoly]:

@@ -28,7 +28,7 @@ from gvexact.partitions import (
     weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qfactorial_over, qnum, qnum_ratio
+from gvexact.qalgebra import QLaurent, QRatio, qnum, qnum_product, qnum_ratio
 
 FockVector = dict[Partition, QRatio]
 
@@ -63,7 +63,7 @@ def skew_numerator(mu: Partition, eta: Partition) -> QLaurent:
             c = (nf // z_factor(rho)) * inner
             if len(rho) % 2:
                 c = -c
-            for x, v in qfactorial_over(n, rho).coeffs.items():
+            for x, v in qnum_product(range(1, n + 1), rho).coeffs.items():
                 acc[x] = acc.get(x, 0) + c * v
     return QLaurent(acc).divide_exact(QLaurent.const(nf * ef))
 
@@ -94,7 +94,7 @@ def w_numerator(mu: Partition, nu: Partition) -> QLaurent:
         inner = QLaurent.zero()
         for eta in enumerate_partitions(e):
             inner = inner + skew_numerator(mu, eta) * skew_numerator(nu, eta)
-        fm, fn = (qfactorial_over(k, tuple(range(k - e, 0, -1))) for k in (m, n))  # [k]!/[k-e]!
+        fm, fn = (qnum_product(range(k - e + 1, k + 1)) for k in (m, n))  # [k]!/[k-e]!
         total = total + inner * fm * fn
     total = total.shifted(kappa(mu) + kappa(nu))
     return -total if (m + n) % 2 else total

@@ -17,11 +17,12 @@ with no QRatio arithmetic.  The def and matrix paths share one framed cyclic
 trace over the intermediate Schur states (`_trace`): of W numerators framed
 by gamma, or of Gram matrices G(d_i, d_(i+1)) built from characters and power
 sums, framed by gamma + 2 and memoized on the pair (d_i, d_(i+1)) alone, so
-shared across degrees and gammas.  What a degree's shape fixes is built once
-per shape: the log's prod_i qbinom(d_i, e_i)^2 is cached on the sorted
-(d_i, e_i) pairs, and D_d (`qalgebra.degree_denominator`) on the sorted
-nonzero d_i.  The t-images read from these coefficients are integer
-numerators over one denominator (`qalgebra.RPoly`).
+shared across degrees and gammas.  The log's prod_i qbinom(d_i, e_i)^2 and
+D_d (`qalgebra.degree_denominator`) are q-number products from the one
+cached builder (`qalgebra.qnum_product`), keyed on the sorted q-numbers, so
+the degrees and (d, e) pairs of one shape share an entry.  The t-images
+read from these coefficients are integer numerators over one denominator
+(`qalgebra.RPoly`).
 
 Every coefficient is computed once per orbit of gamma's dihedral symmetry.
 Since W(mu, nu) = W(nu, mu), rotating or reflecting (gamma, d) together
@@ -70,8 +71,7 @@ from gvexact.qalgebra import (
     QRatio,
     _mul_add,
     degree_counts,
-    qbinomial,
-    qfactorial_over,
+    qnum_product,
     qnum_ratio,
     qnum_sum,
 )
@@ -150,11 +150,6 @@ def cyclic_runs(d: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(run) for run in runs]
 
 
-def z_coefficient_def(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
-    """The partition-function coefficient Z_d by the definitional path."""
-    return _reduce(1, _shape(d), z_numerator(gamma, d))
-
-
 def z_coefficient_matrix(gamma: tuple[int, ...], d: tuple[int, ...]) -> QRatio:
     """The same coefficient as the Fock-space trace of the vertex-operator
     product in the Schur basis, where q^(a F2), a = gamma_i + 2, is diagonal:
@@ -218,7 +213,7 @@ def _slot_sums(n: int, k: int) -> dict:
     Each coefficient of the sum is one dot product over nu."""
     nus = enumerate_partitions(n - k)
     weights = [(-1) ** len(nu) * (math.factorial(n) // z_factor(nu)) for nu in nus]
-    polys = [qfactorial_over(n, nu).coeffs for nu in nus]
+    polys = [qnum_product(range(1, n + 1), nu).coeffs for nu in nus]
     exps = sorted(set().union(*polys))
     cols = [[p.get(e, 0) for p in polys] for e in exps]
     out = {}
@@ -446,19 +441,16 @@ class DegreeSeries:
 
 
 def _cofactor(d: tuple[int, ...], e: tuple[int, ...]) -> QLaurent:
-    """D_d / (D_e D_(d-e)) = prod_i qbinom(d_i, e_i)^2."""
-    return _binomial_squares(tuple(sorted((di, ei) for di, ei in zip(d, e) if 0 < ei < di)))
-
-
-@lru_cache(maxsize=None)
-def _binomial_squares(pairs: tuple[tuple[int, int], ...]) -> QLaurent:
-    """prod qbinom(n, k)^2 over the sorted (n, k) pairs with 0 < k < n.  Cached
-    on the pairs: the (d, e) of the log share few of them."""
-    out = QLaurent.one()
-    for n, k in pairs:
-        b = qbinomial(n, k)
-        out = out * b * b
-    return out
+    """D_d / (D_e D_(d-e)) = prod_i qbinom(d_i, e_i)^2, with qbinom(n, e) =
+    [n][n-1]...[n-k+1] / [k]! for k = min(e, n - e): one `qnum_product`,
+    cached on its sorted q-numbers, which the (d, e) of the log share."""
+    up, down = [], []
+    for di, ei in zip(d, e):
+        if 0 < ei < di:
+            k = min(ei, di - ei)
+            up += range(di - k + 1, di + 1)
+            down += range(1, k + 1)
+    return qnum_product(up * 2, down * 2)
 
 
 def downward_closure(degrees) -> frozenset:

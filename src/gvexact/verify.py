@@ -124,9 +124,7 @@ def suite_q_lemmas() -> str:
     for _ in range(150):
         m = rng.randint(1, 6)
         parts = [rng.randint(1, 8) for _ in range(m)]
-        prod = QRatio.one()
-        for a in parts:
-            prod = prod * QRatio(qnum(a))
+        prod = QRatio(qnum_product(parts))
         in_y = True
         try:
             to_y_poly(prod)
@@ -159,14 +157,8 @@ def suite_q_lemmas() -> str:
         if math.gcd(a, math.gcd(b, c)) != 1:
             continue
         hits += 1
-        num = (
-            qnum(math.lcm(a, b, c))
-            * qnum(math.gcd(a, b))
-            * qnum(math.gcd(b, c))
-            * qnum(math.gcd(c, a))
-        )
-        den = qnum(a) * qnum(b) * qnum(c) * qnum(1)
-        f = QRatio(num) / QRatio(den)
+        num = qnum_product((math.lcm(a, b, c), math.gcd(a, b), math.gcd(b, c), math.gcd(c, a)))
+        f = QRatio(num) / QRatio(qnum_product((a, b, c, 1)))
         _check(f.is_laurent(), f"lcm/gcd ratio not polynomial for {(a, b, c)}")
         lp = f.num
         _check(
@@ -187,9 +179,7 @@ def suite_q_lemmas() -> str:
                 )
                 if not drop_ok or not (k % 2 == 1 or d % 2 == 0):
                     continue
-                f = QRatio(qnum_product(scale(k, lam))) / (
-                    QRatio(qnum(k) * qnum(k)) * QRatio(qnum_product(lam))
-                )
+                f = QRatio(qnum_product(scale(k, lam))) / QRatio(qnum_product((k, k) + lam))
                 g, rem = pole_extract(f, 1, "plain")
                 _check(
                     g == Fraction(k ** (len(lam) - 2)) and rem.is_integral(),

@@ -37,7 +37,10 @@ kept the same way (`z_numerator_tuples`): every r-tuple of partitions
 multiplies its own r vertex numerators, against the engine's framed trace.
 The computation of Z and log Z at every degree vector is kept the same way
 (`every_degree_series`), against the engine's one computation per orbit of
-gamma's dihedral symmetry.
+gamma's dihedral symmetry.  The q-number products that the engine takes from
+one cached builder (`qnum_product`) are kept as plain product chains in order
+(`qnum_chain`, `qfactorial`, `qbinomial`, `qfactorial_over`,
+`degree_denominator_chain`).
 
 The t- and y-images are kept the same way: `FractionRPoly`, with one
 Fraction per coefficient, and the image and the pole extraction by remainder
@@ -97,11 +100,7 @@ from gvexact.qalgebra import (
     _t_k_coeffs,
     degree_counts,
     degree_denominator,
-    qfactorial,
-    qfactorial_over,
-    qbinomial,
     qnum,
-    qnum_product,
     qnum_ratio,
     t_k_qratio,
     to_t_poly,
@@ -210,7 +209,7 @@ def skew_schur_oracle(mu, eta) -> QRatio:
             chi_mu = mn_character(mu, union(mup, etap))
             if not chi_mu:
                 continue
-            p_val = QRatio(QLaurent.const((-1) ** len(mup)), qnum_product(mup))
+            p_val = QRatio(QLaurent.const((-1) ** len(mup)), qnum_chain(mup))
             coeff = Fraction(chi_mu * chi_eta, z_factor(mup) * z_factor(etap))
             total = total + p_val * coeff
     return total
@@ -594,6 +593,32 @@ def forest_canonical(forest: VevForest) -> tuple:
     """Canonical serialization without leaf indices; trees sorted, L/R order
     kept (it is labeled by the sign split, so it is structural)."""
     return tuple(sorted(strip_indices(t) for t in forest))
+
+
+def qnum_chain(ks) -> QLaurent:
+    """prod [k] over ks as one product chain, in order; the empty product is 1."""
+    out = QLaurent.one()
+    for k in ks:
+        out = out * qnum(k)
+    return out
+
+
+@lru_cache(maxsize=None)
+def qfactorial(n: int) -> QLaurent:
+    """[n]! = [1][2]...[n] as a product chain; [0]! = 1."""
+    return qnum_chain(range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def qbinomial(n: int, k: int) -> QLaurent:
+    """[n]! / ([k]! [n-k]!) for 0 <= k <= n, one exact division of product chains."""
+    return qfactorial(n).divide_exact(qfactorial(k) * qfactorial(n - k))
+
+
+@lru_cache(maxsize=None)
+def qfactorial_over(n: int, p) -> QLaurent:
+    """[n]! / [p] for |p| <= n, one exact division of product chains."""
+    return qfactorial(n).divide_exact(qnum_chain(p))
 
 
 def degree_denominator_chain(d) -> QLaurent:

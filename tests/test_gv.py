@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from gvexact.gv import PRESETS, divisors, integrality_report, mobius, pole_violation
+from gvexact import qalgebra
+from gvexact.gv import PRESETS, _mobius_cofactor, divisors, integrality_report, mobius, pole_violation
 from gvexact.qalgebra import QLaurent, QRatio, RPoly, _phi_factors, qnum, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
-from oracles import g_of_d, integrality_report_oracle, mobius_sum
+from oracles import degree_denominator_chain, g_of_d, integrality_report_oracle, mobius_sum
 
 T = t_k_qratio(1)
 
@@ -25,6 +26,24 @@ def test_mobius_values():
 def test_divisor_sums():
     for k in range(1, 25):
         assert sum(mobius(k // kp) for kp in divisors(k)) == (1 if k == 1 else 0)
+
+
+def test_divisors_live_beside_mobius():
+    # gv re-exports the one divisor list that qalgebra's loops use
+    assert divisors is qalgebra.divisors
+    assert divisors(12) == [1, 2, 3, 4, 6, 12] and divisors(1) == [1]
+
+
+def test_mobius_cofactor_is_the_quotient_of_degree_denominators():
+    # D_d / D_(d/m)(q^m) for every m | gcd(d), against the product chains
+    checked = 0
+    for r in (1, 2, 3):
+        for d in degree_vectors(r, 8):
+            for m in divisors(math.gcd(*d)):
+                below = degree_denominator_chain(tuple(x // m for x in d)).substitute_power(m)
+                assert _mobius_cofactor(d, m) == degree_denominator_chain(d).divide_exact(below), (d, m)
+                checked += 1
+    assert checked > 200
 
 
 def test_no_divisors_below_one():

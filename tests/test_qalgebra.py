@@ -17,13 +17,10 @@ from gvexact.qalgebra import (
     RPoly,
     _laurent,
     _phi_factors,
-    _shape_denominator,
     cyclotomic,
     degree_denominator,
     format_qratio,
     pole_extract,
-    qbinomial,
-    qfactorial,
     qnum,
     qnum_product,
     qnum_ratio,
@@ -41,7 +38,10 @@ from oracles import (
     laurent_to_poly_oracle,
     phi_power_oracle,
     pole_extract_oracle,
+    qbinomial,
+    qfactorial,
     qlaurent_gcd,
+    qnum_chain,
     ratio_add_oracle,
 )
 
@@ -416,6 +416,37 @@ def test_sums_and_products_factor_no_denominator(a, b):
 
 
 @PROPERTY
+@given(ratios, st.integers(1, 6))
+def test_substitute_power_builds_and_factors_no_denominator(a, m):
+    # the Phi_j(x^m) are factored in closed form, so no denominator is
+    # expanded (`_phi_power`) or trial-factored (`_phi_factors`)
+    before = _phi_factors.cache_info(), qalgebra._phi_power.cache_info()
+    a.substitute_power(m)
+    assert (_phi_factors.cache_info(), qalgebra._phi_power.cache_info()) == before
+
+
+def test_phis_at_power_is_the_factoring_of_phi_j_at_x_to_the_m():
+    for j in range(1, 16):
+        for m in range(1, 8):
+            expect = _phi_factors(cyclotomic(j).substitute_power(m))
+            assert qalgebra._phis_at_power(((j, 1),), m) == expect, (j, m)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: QRatio.const(0.1),
+    lambda: QRatio.one() * 0.5,
+    lambda: t_k_qratio(1) + 0.1,
+    lambda: qnum_ratio(0.3, {1: -1}),
+    lambda: qnum_sum([(0.5, {2: 1}), (1, {1: -1})], memo=False),
+], ids=["const", "mul", "add", "qnum_ratio", "qnum_sum"])
+def test_a_float_is_refused(make):
+    # a float's binary expansion would pass for an exact value (0.1 as
+    # 3602879701896397/2^55), so exact arithmetic takes no float
+    with pytest.raises(TypeError):
+        make()
+
+
+@PROPERTY
 @given(
     st.fractions(max_denominator=12),
     st.dictionaries(st.integers(-9, 9).filter(bool), st.integers(-3, 3), max_size=5),
@@ -588,14 +619,44 @@ def test_t_k_table_is_integer():
 
 
 def test_q_factorials_and_binomials():
-    assert qfactorial(0).is_one() and qfactorial(3) == qnum(1) * qnum(2) * qnum(3)
+    # the builder's [n]! and qbinom(n, k) = [n]...[n-k+1] / [k]! against the chains
+    assert qnum_product(range(1, 1)).is_one() and qnum_product(range(1, 4)) == qfactorial(3)
     for n in range(8):
+        assert qnum_product(range(1, n + 1)) == qfactorial(n)
         for k in range(n + 1):
-            b = qbinomial(n, k)
+            b = qnum_product(range(n - k + 1, n + 1), range(1, k + 1))
+            assert b == qbinomial(n, k)
+            assert b == qnum_product(range(1, n + 1), [*range(1, k + 1), *range(1, n - k + 1)])
             assert b == qbinomial(n, n - k) and b.is_symmetric()
             assert b * qfactorial(k) * qfactorial(n - k) == qfactorial(n)
             # q -> 1 gives the ordinary binomial
             assert b.value_at_one() == math.comb(n, k)
+
+
+@PROPERTY
+@given(st.lists(st.integers(-6, 8), max_size=6), st.lists(st.integers(-6, 8).filter(bool), max_size=4))
+def test_qnum_product_is_the_chain_quotient(up, down):
+    # one exact division of two product chains, in any order of the q-numbers;
+    # a quotient that is not a Laurent polynomial is a ValueError
+    try:
+        expect = qnum_chain(up).divide_exact(qnum_chain(down))
+    except ValueError:
+        with pytest.raises(ValueError):
+            qnum_product(up, down)
+    else:
+        assert qnum_product(up, down) == expect
+        assert qnum_product(up[::-1], down[::-1]) is qnum_product(up, down)
+
+
+def test_qnum_product_refuses_what_is_no_product():
+    assert qnum_product((4,), (2,)) == QLaurent({2: 1, -2: 1})  # [4]/[2] = q + 1/q
+    assert qnum_product((3, 0, 2)).is_zero()
+    with pytest.raises(ValueError):
+        qnum_product((3,), (2,))  # [3]/[2] is no Laurent polynomial
+    with pytest.raises(ValueError):
+        qnum_product((2, 2), (4,))
+    with pytest.raises(ZeroDivisionError):
+        qnum_product((2,), (0,))
 
 
 def test_kernel_rejects_non_integers():
@@ -645,14 +706,15 @@ def test_non_cyclotomic_denominator_is_refused(den):
 
 def test_refusal_builds_no_cyclotomic_above_the_degree():
     # 3 + x^16 has no cyclotomic factor, so the trial runs j up to 2 * 16^2;
-    # only the Phi_j of degree phi(j) <= 16, all with j <= 60, are built
-    cyclotomic.cache_clear()
+    # only the Phi_j of degree phi(j) <= 16, all with j <= 60, are built; each
+    # Phi_j is the entry ((j, 1),) of the Phi_j product cache
+    qalgebra._phi_power.cache_clear()
     with pytest.raises(ValueError):
         _phi_factors(QLaurent({0: 3, 16: 1}))
-    built = cyclotomic.cache_info().currsize
+    built = qalgebra._phi_power.cache_info().currsize
     for j in range(1, 61):
         cyclotomic(j)
-    assert built and cyclotomic.cache_info().currsize == 60
+    assert built and qalgebra._phi_power.cache_info().currsize == 60
 
 
 def test_phi_factors_exponents():
@@ -778,12 +840,17 @@ def test_pole_extract_matches_fraction_oracle(p, any_f, g, k, m):
 
 
 def test_degree_denominator_is_cached_on_the_shape():
-    # every permutation of d, zeros included, shares one entry keyed on the
-    # sorted nonzero parts; the value is the product chain over d itself
+    # every permutation of d, zeros included, has the same sorted q-numbers, so
+    # all share one entry of the builder's cache; the value is the product
+    # chain over d itself
     shapes = [(3, 0, 1, 0, 2), (2, 2, 0, 1), (4, 0, 0), (0, 1, 0, 0, 1), (5,)]
-    _shape_denominator.cache_clear()
     for d in shapes:
-        for perm in set(itertools.permutations(d)):
+        perms = set(itertools.permutations(d))
+        qalgebra._qnum_quotient.cache_clear()
+        for perm in perms:
             assert degree_denominator(perm) == degree_denominator_chain(perm), perm
-    info = _shape_denominator.cache_info()
-    assert info.misses == len(shapes) and info.currsize == len(shapes)
+        # a cold D_d builds one entry per suffix of its 2 |d| sorted q-numbers,
+        # the empty one included; every other permutation is one hit
+        info = qalgebra._qnum_quotient.cache_info()
+        assert info.misses == info.currsize == 2 * sum(d) + 1, d
+        assert info.hits == len(perms) - 1, d

@@ -5,7 +5,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from gvexact.gv import PRESETS, integrality_report
-from gvexact.qalgebra import QLaurent, QRatio, degree_denominator, qbinomial, t_k_qratio
+from gvexact.qalgebra import QLaurent, QRatio, degree_denominator, t_k_qratio
 from gvexact.series import (
     DegreeSeries,
     _cofactor,
@@ -16,29 +16,29 @@ from gvexact.series import (
     degree_vectors,
     downward_closure,
     f_connected,
-    z_coefficient_def,
     z_coefficient_graphs,
     z_coefficient_matrix,
 )
-from oracles import every_degree_series, z_coefficient_graphs_oracle
+from oracles import every_degree_series, qbinomial, z_coefficient_graphs_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
 
 
 def test_hand_oracles():
-    assert z_coefficient_def((1, 1, 1), (1, 0, 0)) == -(ONE / T)
+    assert build_z_series((1, 1, 1), 1).get((1, 0, 0)) == -(ONE / T)
     for g1 in (-1, 0, 1):
         for g2 in (-2, 1, 2):
-            expect = (ONE + ONE / T) * (ONE + ONE / T) * ((-1) ** (g1 + g2))
-            assert z_coefficient_def((g1, g2), (1, 1)) == expect
+            expect = (ONE + ONE / T) * (ONE + ONE / T) * ((-1) ** abs(g1 + g2))
+            assert build_z_series((g1, g2), 2).get((1, 1)) == expect
     # single-box degree: always +-1/t
     for gamma in [(1, 1, 1), (0, -2), (2, 2, 0, 1)]:
         r = len(gamma)
+        zs = build_z_series(gamma, 1)
         for i in range(r):
             d = tuple(1 if j == i else 0 for j in range(r))
-            expect = (ONE / T) * ((-1) ** gamma[i])
-            assert z_coefficient_def(gamma, d) == expect
+            expect = (ONE / T) * ((-1) ** abs(gamma[i]))
+            assert zs.get(d) == expect
 
 
 def test_def_equals_matrix():
@@ -52,17 +52,16 @@ def test_def_equals_matrix():
         ((1, 0, -1, 0), 2),
     ]
     for gamma, cap in cases:
+        zs = build_z_series(gamma, cap)
         for d in degree_vectors(len(gamma), cap):
-            assert z_coefficient_def(gamma, d) == z_coefficient_matrix(gamma, d), (
-                gamma,
-                d,
-            )
+            assert zs.get(d) == z_coefficient_matrix(gamma, d), (gamma, d)
 
 
 def test_all_forest_sum_equals_z():
     for gamma in [(1, 1), (-1, -1), (1, 1, 1)]:
+        zs = build_z_series(gamma, 3)
         for d in degree_vectors(len(gamma), 3):
-            assert z_coefficient_graphs(gamma, d) == z_coefficient_def(gamma, d)
+            assert z_coefficient_graphs(gamma, d) == zs.get(d)
 
 
 def test_log_series_basics():
@@ -162,10 +161,12 @@ def test_connected_forest_sum_matches_the_ratio_sum(gamma):
 
 
 def test_cyclic_symmetry_for_constant_gamma():
+    # each series holds d, or its rotation, alone with what lies below, so
+    # the two traces are taken apart
     gamma = (1, 1, 1)
     for d in degree_vectors(3, 3):
         rot = (d[1], d[2], d[0])
-        assert z_coefficient_def(gamma, d) == z_coefficient_def(gamma, rot)
+        assert build_z_series(gamma, 3, [d]).get(d) == build_z_series(gamma, 3, [rot]).get(rot)
 
 
 def test_support_restriction_matches_full_series():
@@ -213,7 +214,7 @@ def test_strict_coefficient_lookup():
 
 def test_strict_ratio_lookup():
     zs = build_z_series(PRESETS["P2"], 3, degrees=[(2, 1, 0)])
-    assert zs.get((1, 1, 0)) == z_coefficient_def(PRESETS["P2"], (1, 1, 0))
+    assert zs.get((1, 1, 0)) == build_z_series(PRESETS["P2"], 2).get((1, 1, 0))
     z = DegreeSeries(2, 2)
     assert z.get((1, 1)).is_zero() and z.get((0, 0)).is_zero()  # kept, but zero
     fs = zs.log()
@@ -231,8 +232,8 @@ def test_degree_vector_order_is_graded_lex():
 
 
 def test_cofactor_is_the_product_of_squared_binomials():
-    # cached on the sorted (d_i, e_i) pairs with 0 < e_i < d_i, so the
-    # permutations of a pair list share one value
+    # one builder call, cached on its sorted q-numbers, so the permutations
+    # of a pair list share one value
     for d in [(3, 0, 2), (2, 2, 1, 0), (4, 1), (1, 1, 1)]:
         for e in itertools.product(*(range(x + 1) for x in d)):
             expect = QLaurent.one()
