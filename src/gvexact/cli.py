@@ -26,7 +26,7 @@ from gvexact.verify import SUITES, run_suites
 
 # the highest total degree each path is computed to; the verification-grade
 # paths grow exponentially with it
-PATH_CAPS = {"def": None, "matrix": 8, "graphs": 5}
+PATH_CAPS = {"def": None, "matrix": 12, "graphs": 5}
 
 
 @dataclass

@@ -340,31 +340,6 @@ def amplitude_counts(w: CombinedForest, k: int = 1, m: int = 1) -> tuple[int, di
     return (-const if (l1 + k * l2) % 2 else const), counts
 
 
-def _lambda_leaf_positions(
-    mu_or_nu: Partition, lam: Partition, side: str, offset: int = 0
-) -> list[int]:
-    """Leaf indices (1-based word positions) of the lambda parts on one side.
-
-    Left side: the word lists mu u lam ascending, so among equal parts the
-    outer (smaller index) ones are lambda's.  Right side: the word lists
-    nu u lam descending, outer = larger index.  Returned outer-first within
-    each value, values in non-increasing order.
-    """
-    parts = union(mu_or_nu, lam)
-    L = len(parts)
-    out: list[int] = []
-    for v in sorted(set(lam), reverse=True):
-        mult = sum(1 for p in lam if p == v)
-        if side == "left":
-            # ascending word: position j (1-based) holds parts[L - j]
-            positions = [j for j in range(1, L + 1) if parts[L - j] == v]
-            out.extend(positions[:mult])
-        else:
-            positions = [offset + j for j in range(1, L + 1) if parts[j - 1] == v]
-            out.extend(sorted(positions, reverse=True)[:mult])
-    return out
-
-
 def enumerate_combined_forests(
     rset: RSet, gamma: tuple[int, ...], connected_only: bool = False
 ) -> tuple[CombinedForest, ...]:
@@ -383,28 +358,23 @@ def _combined_forests(
     r = rset.r
     if len(gamma) != r:
         raise ValueError("gamma length must equal r")
-    slot_forests = []
-    left_lam: list[list[int]] = []
-    right_lam: list[list[int]] = []
+    slot_forests, bridges = [], []
     for i in range(r):
-        a = gamma[i] + 2
-        mparts = union(rset.mu[i], rset.lam[i])
-        nparts = union(rset.nu[i], rset.lam[(i + 1) % r])
-        cs, ns = graph_word(mparts, nparts, a)
+        left = union(rset.mu[i], rset.lam[i])
+        cs, ns = graph_word(left, union(rset.nu[i], rset.lam[(i + 1) % r]), gamma[i] + 2)
         slot_forests.append(generate_vev_forests(cs, ns))
-        left_lam.append(_lambda_leaf_positions(rset.mu[i], rset.lam[i], "left"))
-        right_lam.append(
-            _lambda_leaf_positions(
-                rset.nu[i], rset.lam[(i + 1) % r], "right", offset=len(mparts)
-            )
-        )
-    bridges = []
-    for i in range(r):
-        lam_i = tuple(sorted(rset.lam[i], reverse=True))
-        lefts = left_lam[i]
-        rights = right_lam[(i - 1) % r]
-        for j, h in enumerate(lam_i):
-            bridges.append(Bridge(i, lefts[j], (i - 1) % r, rights[j], h))
+        # graph_word lists slot i's left parts ascending, then its right parts
+        # descending, and among equal parts lambda's copies are the outer
+        # ones: the c-th copy of a part h of lam^i is leaf
+        # 1 + #(left_i < h) + c of slot i and leaf
+        # len(left_(i-1)) + #(right_(i-1) >= h) - c of slot i-1
+        lam = sorted(rset.lam[i], reverse=True)
+        n_prev_left = len(rset.mu[i - 1]) + len(rset.lam[i - 1])
+        prev_right = rset.nu[i - 1] + rset.lam[i]
+        for j, h in enumerate(lam):
+            c = j - lam.index(h)
+            bridges.append(Bridge(i, 1 + sum(p < h for p in left) + c, (i - 1) % r,
+                                  n_prev_left + sum(p >= h for p in prev_right) - c, h))
     bridges = tuple(bridges)
     out = []
     for combo in itertools.product(*slot_forests):

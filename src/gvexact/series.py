@@ -315,34 +315,25 @@ class DegreeSeries:
         self.symmetry = symmetry or (tuple(range(r)),)
         self.numerators: dict[tuple[int, ...], QLaurent] = {}  # on representatives
         self.constant = QRatio.zero()
-        # each kept degree that is not its orbit's representative, to the
-        # representative: empty when the symmetry is the identity alone
-        self._keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-        for d in self._kept():
-            k = min(im for s in self.symmetry if self._keeps(im := tuple(d[j] for j in s)))
-            if k != d:
-                self._keys[d] = k
-
-    def _keeps(self, d: tuple[int, ...]) -> bool:
-        if sum(d) > self.max_total:
-            return False
-        return self.support is None or d in self.support
-
-    def _kept(self):
-        """Every kept degree, in graded order."""
-        return (d for d in degree_vectors(self.r, self.max_total) if self._keeps(d))
+        # every kept degree, in graded order, to its orbit's representative:
+        # the least image, in tuple order, that is kept too
+        self.keys: dict[tuple[int, ...], tuple[int, ...]] = dict.fromkeys(
+            d for d in degree_vectors(r, max_total) if support is None or d in support)
+        for d in self.keys:
+            images = (tuple(d[j] for j in s) for s in self.symmetry)
+            self.keys[d] = min(im for im in images if im in self.keys)
 
     def key(self, d: tuple[int, ...]) -> tuple[int, ...]:
-        """The representative of d's orbit: the least image of d, in tuple
-        order, inside the computed range, which d's orbit-mates share; a
-        degree outside the range is a KeyError rather than a silent zero."""
-        if not self._keeps(d):
+        """The representative of d's orbit, which d's orbit-mates share; a
+        degree outside the computed range, of the wrong length or with a
+        negative entry, is a KeyError rather than a silent zero."""
+        if (k := self.keys.get(d)) is None:
             raise KeyError(f"coefficient at {d} was not computed")
-        return self._keys.get(d, d)
+        return k
 
     def representatives(self) -> list[tuple[int, ...]]:
         """One kept degree per orbit, in graded order."""
-        return [d for d in self._kept() if d not in self._keys]
+        return [d for d, k in self.keys.items() if k == d]
 
     def _weight(self, d: tuple[int, ...]) -> int:
         """c_d = numerator(d) / (weight * D_d)."""
@@ -367,7 +358,7 @@ class DegreeSeries:
         over the cyclotomic factors of its denominator D_d (times |d| when
         weighted) through `_reduce`, with no polynomial gcd; like
         `numerator`, a degree outside the computed range is a KeyError."""
-        if not any(d):
+        if d == (0,) * self.r:
             return self.constant
         k = self.key(d)
         num = self.numerators.get(k)
@@ -380,7 +371,7 @@ class DegreeSeries:
     def coefficients(self) -> dict[tuple[int, ...], QRatio]:
         """Every nonzero c_d as a reduced ratio; reading it reduces them all,
         once per orbit."""
-        return {d: self.get(d) for d in self._kept() if self.key(d) in self.numerators}
+        return {d: self.get(d) for d, k in self.keys.items() if k in self.numerators}
 
     def log(self) -> "DegreeSeries":
         """F = log Z by the Euler-operator recursion
@@ -408,7 +399,7 @@ class DegreeSeries:
             raise ValueError("log needs an unweighted series with constant term 1")
         out = DegreeSeries(self.r, self.max_total, self.support, weighted=True,
                            symmetry=self.symmetry)
-        keys, zn, fn = self._keys, self.numerators, out.numerators  # fn: FN_e
+        keys, zn, fn = self.keys, self.numerators, out.numerators  # fn: FN_e
         for d in self.representatives():
             if len(cyclic_runs(d)) > 1:
                 continue

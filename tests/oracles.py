@@ -57,6 +57,12 @@ sum that reduce the whole product of two reduced ratios again
 (`ratio_mul_oracle`, `ratio_add_oracle`), against the kernel's binomials and
 the cross-cancelled products and sums over the lcm.
 
+The leaf-position scan that placed each bridge is kept the same way
+(`bridges_scan`, `lambda_leaf_positions`): it finds the lambda leaves of
+each slot by scanning the slot's sorted parts on a "left" or "right" side,
+against the engine's count of the parts that precede each leaf in
+`graph_word`'s layout.
+
 Helpers that only the tests use live here too, not in the package: the
 conjugate partition, and the canonical form of a VEV forest without leaf
 indices (`strip_indices`, `forest_canonical`) that groups forests into
@@ -72,6 +78,7 @@ from functools import lru_cache
 
 from gvexact.characters import mn_character
 from gvexact.graph_engine import (
+    Bridge,
     CombinedForest,
     VevForest,
     amplitude_H,
@@ -573,6 +580,48 @@ def combined_forest_debug_lines(w: CombinedForest) -> list[str]:
             f"s{b.slot_right}.leaf={b.leaf_right} h={b.label}"
         )
     return out
+
+
+def lambda_leaf_positions(mu_or_nu, lam, side: str, offset: int = 0) -> list[int]:
+    """Leaf indices (1-based word positions) of the lambda parts on one side,
+    found by scanning the slot's parts.
+
+    Left side: the word lists mu u lam ascending, so among equal parts the
+    outer (smaller index) ones are lambda's.  Right side: the word lists
+    nu u lam descending, outer = larger index.  Returned outer-first within
+    each value, values in non-increasing order.
+    """
+    parts = union(mu_or_nu, lam)
+    L = len(parts)
+    out: list[int] = []
+    for v in sorted(set(lam), reverse=True):
+        mult = sum(1 for p in lam if p == v)
+        if side == "left":
+            # ascending word: position j (1-based) holds parts[L - j]
+            positions = [j for j in range(1, L + 1) if parts[L - j] == v]
+            out.extend(positions[:mult])
+        else:
+            positions = [offset + j for j in range(1, L + 1) if parts[j - 1] == v]
+            out.extend(sorted(positions, reverse=True)[:mult])
+    return out
+
+
+def bridges_scan(rset) -> tuple[Bridge, ...]:
+    """The bridges of every combined forest over the r-set, placed by the
+    leaf-position scan of each slot's two sides."""
+    r = rset.r
+    left_lam, right_lam = [], []
+    for i in range(r):
+        offset = len(union(rset.mu[i], rset.lam[i]))
+        left_lam.append(lambda_leaf_positions(rset.mu[i], rset.lam[i], "left"))
+        right_lam.append(lambda_leaf_positions(rset.nu[i], rset.lam[(i + 1) % r], "right", offset))
+    bridges = []
+    for i in range(r):
+        lam_i = tuple(sorted(rset.lam[i], reverse=True))
+        lefts, rights = left_lam[i], right_lam[(i - 1) % r]
+        for j, h in enumerate(lam_i):
+            bridges.append(Bridge(i, lefts[j], (i - 1) % r, rights[j], h))
+    return tuple(bridges)
 
 
 def conjugate(p) -> tuple:

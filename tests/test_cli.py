@@ -124,6 +124,11 @@ def test_verify_subcommand(capsys):
     assert "vev-oracle: PASS" in out
 
 
+def test_matrix_path_is_accepted_to_its_cap():
+    # |d| = 12 is the matrix path's cap; 13 is a usage error (below)
+    assert RunConfig((1, 1), 12, paths=("def", "matrix")).top_degree() == 12
+
+
 def test_missing_gamma_is_usage_error(capsys):
     code = main(["compute"])
     assert code == 2
@@ -132,7 +137,7 @@ def test_missing_gamma_is_usage_error(capsys):
 @pytest.mark.parametrize("args, config", [
     (["--surface", "P2", "--paths", "def,matrx"], None),
     (["--gamma=1,1", "--max-degree", "6", "--paths", "graphs"], None),
-    (["--gamma=1,1", "--max-degree", "9", "--paths", "def,matrix"], None),
+    (["--gamma=1,1", "--max-degree", "13", "--paths", "def,matrix"], None),
     (["--gamma=1,1", "--degrees", "3,3", "--paths", "graphs"], None),
     (["--surface", "P2", "--max-degree", "0"], None),
     (["--surface", "P2", "--degrees", ";"], None),

@@ -28,7 +28,7 @@ from gvexact.qalgebra import QRatio, qnum, t_k_qratio, to_t_poly, try_to_t_poly
 from gvexact.schur_vertex import matrix_element_char, vev_fock
 from gvexact.series import degree_vectors
 from gvexact.verify import suite_pole_structure
-from oracles import amplitude_counts_oracle, forest_canonical, g_k_of_w_oracle
+from oracles import amplitude_counts_oracle, bridges_scan, forest_canonical, g_k_of_w_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -154,6 +154,25 @@ def test_no_bridges_without_lambda():
     ws = enumerate_combined_forests(rs, (1, 1))
     assert all(not w.bridges for w in ws)
     assert len(ws) == len(forests_for((1,), (1,), 3))
+
+
+@pytest.mark.parametrize("r,cap", [(2, 5), (3, 4), (4, 4)])
+def test_bridges_match_the_leaf_position_scan(r, cap):
+    # every r-set to the cap: the bridge ends counted off graph_word's layout
+    # equal the ones the scan of each slot's sorted parts finds
+    # (every forest of an r-set shares its one tuple of bridges)
+    for d in degree_vectors(r, cap):
+        for rs in enumerate_rsets(r, d):
+            ws = enumerate_combined_forests(rs, (0,) * r)
+            assert ws and ws[0].bridges == bridges_scan(rs), rs
+
+
+def test_bridges_sort_a_hand_built_lambda():
+    # an RSet built by hand need not hold sorted partitions
+    rs = RSet(((), ()), ((), ()), ((1, 2, 1), (2, 1, 1)))
+    ws = enumerate_combined_forests(rs, (0, 0))
+    assert ws and ws[0].bridges == bridges_scan(rs)
+    assert [b.label for b in ws[0].bridges] == [2, 1, 1, 2, 1, 1]
 
 
 def figure2_beta0() -> CombinedForest:

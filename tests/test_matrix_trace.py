@@ -75,7 +75,7 @@ def test_gram_matrix_is_the_vertex_numerator():
                 assert gram.get(rho, {}).get(sigma, QLaurent.zero()) == want, (rho, sigma)
 
 
-@pytest.mark.parametrize("gamma,cap", [(PRESETS["P2"], 8), (PRESETS["F0"], 6)], ids=str)
+@pytest.mark.parametrize("gamma,cap", [(PRESETS["P2"], 12), (PRESETS["F0"], 6)], ids=str)
 def test_matrix_path_agrees_with_def_to_its_cap(gamma, cap):
     zs = build_z_series(gamma, cap)
     for d in degree_vectors(len(gamma), cap):

@@ -226,6 +226,19 @@ def test_strict_ratio_lookup():
             fs.get(d)
 
 
+@pytest.mark.parametrize("d", [(1, 0), (2, -1, 0), (1, 0, 0, 0), (0, 0)])
+def test_malformed_degree_is_a_key_error(d):
+    # a degree of the wrong length or with a negative entry is no kept degree,
+    # not a silent zero, and the integer report refuses it too
+    fs = build_z_series((1, 1, 1), 3).log()
+    for read in (fs.key, fs.numerator, fs.get):
+        with pytest.raises(KeyError):
+            read(d)
+    if any(d):
+        with pytest.raises(KeyError):
+            integrality_report((1, 1, 1), d, fs)
+
+
 def test_degree_vector_order_is_graded_lex():
     got = list(degree_vectors(2, 2))
     assert got == [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
