@@ -1,8 +1,11 @@
-"""Irreducible symmetric-group characters chi_lambda(mu) by border-strip
-(Murnaghan-Nakayama) recursion, memoized on (lambda, mu).
+"""Symmetric-group characters chi^(lambda/eta)(mu) of skew shapes, the
+straight chi^lambda(mu) when eta is empty, by the border-strip
+(Murnaghan-Nakayama) rule, memoized on (lambda, mu, eta).
 
 The recursion strips the largest part of mu first, which maximizes cache
-reuse across the weight-indexed sweeps in the matrix-element sums.
+reuse across the weight-indexed sweeps in the matrix-element sums.  Strips
+only shrink a shape, so one that cuts into eta leaves a shape that never
+returns to eta, and its path ends at 0 (Stanley, EC2 7.17).
 """
 
 from __future__ import annotations
@@ -12,17 +15,18 @@ from functools import lru_cache
 from gvexact.partitions import Partition, enumerate_partitions, z_factor
 
 
-def mn_character(lam: Partition, mu: Partition) -> int:
-    """chi_lambda(mu) for |lambda| = |mu|; chi_empty(empty) = 1."""
-    if sum(lam) != sum(mu):
-        raise ValueError("character needs |lambda| = |mu|")
-    return _mn(lam, mu)
+def mn_character(lam: Partition, mu: Partition, eta: Partition = ()) -> int:
+    """chi^(lambda/eta)(mu) for |lambda| = |mu| + |eta|, 0 unless eta is inside
+    lambda; chi_empty(empty) = 1."""
+    if sum(lam) != sum(mu) + sum(eta):
+        raise ValueError("character needs |lambda| = |mu| + |eta|")
+    return _mn(lam, mu, eta)
 
 
 @lru_cache(maxsize=None)
-def _mn(lam: Partition, mu: Partition) -> int:
+def _mn(lam: Partition, mu: Partition, eta: Partition) -> int:
     if not mu:
-        return 1
+        return int(lam == eta)
     r = mu[0]
     rest = mu[1:]
     l = len(lam)
@@ -35,13 +39,11 @@ def _mn(lam: Partition, mu: Partition) -> int:
         if nb < 0 or nb in beta_set:
             continue
         height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((c for c in beta if c != b), reverse=True)
-        new_beta.append(nb)
-        new_beta.sort(reverse=True)
+        new_beta = sorted((nb if c == b else c for c in beta), reverse=True)
         newlam = tuple(
             c - (l - 1 - j) for j, c in enumerate(new_beta) if c - (l - 1 - j) > 0
         )
-        total += (-1) ** height * _mn(newlam, rest)
+        total += (-1) ** height * _mn(newlam, rest, eta)
     return total
 
 

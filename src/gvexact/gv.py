@@ -44,6 +44,8 @@ class GvReport:
     paths_agree: bool = True
 
     def to_json_obj(self) -> dict:
+        """The report's JSON object; "notes", which say why a degree was
+        rejected, only when there are any."""
         return {
             "gamma": list(self.gamma),
             "degree": list(self.degree),
@@ -52,6 +54,7 @@ class GvReport:
             "integral": self.integral,
             "gv": [{"g": g, "n": str(n)} for g, n in self.gv_numbers],
             "paths_agree": self.paths_agree,
+            **({"notes": self.notes} if self.notes else {}),
         }
 
 

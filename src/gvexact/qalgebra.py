@@ -12,9 +12,9 @@ in Z[t] is decided on the Laurent numerator alone; the integer numerators of
 the image are built only when first read.  No floating point ever enters: a
 float given as a constant is a TypeError.  One cached builder
 (`qnum_product`) forms every product and exact quotient of q-numbers, [n]!,
-D_d and the binomial and Mobius cofactors among them; a product reuses the
-cached product of all but its largest q-number.  One kernel (`_times_phis`)
-applies every product of Phi_j powers, through the binomials
+D_d and the binomial and Mobius cofactors among them; a product extends its
+longest cached suffix in one loop.  One kernel (`_times_phis`) applies
+every product of Phi_j powers, through the binomials
 Phi_j = prod_(d | j) (x^d - 1)^mobius(j/d); a product of two ratios tests
 each numerator only against the other's Phi_j and adds the exponents, and
 q -> q^m maps each Phi_j to its Phi_k in closed form (`_phis_at_power`).
@@ -348,7 +348,7 @@ def _exact(v) -> Fraction:
 
 def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
     """num * sum over (p, lead, phis) of p prod Phi_j^phis[j] / lead as a canonical QRatio,
-    for integer Laurent polynomials p and num (1 if left out), positive integers lead and
+    for integer Laurent polynomials p and num (1 if left out), nonzero integers lead and
     signed exponents phis, a dict.  The terms add up as integers over
     lcm(lead) prod Phi_j^(-min e_j), and the sum is reduced once, by the highest powers of
     the Phi_j left in the denominator that divide it (`_common_phis`): the Phi_j are monic,
@@ -356,7 +356,7 @@ def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
     exponent in its own term, as a reduced numerator or a monomial is.  So a Phi_j whose
     lowest exponent only one term attains divides every term of the sum but that one, not
     the sum, and is tested only when num is given."""
-    if len(terms) == 1:  # every qnum_ratio: nothing to add
+    if len(terms) == 1:  # every qnum_ratio and QRatio(num, den): nothing to add
         ((total, lcm, low),) = terms
         low, ties = dict(sorted(low.items())), ()
     else:
@@ -478,18 +478,31 @@ def qnum_product(up, down=()) -> QLaurent:
     product of q-numbers is built here: [n]! is qnum_product(range(1, n + 1)),
     and D_d (`degree_denominator`), the log's cofactors and the Mobius
     cofactors are one call each.  Cached on up and down sorted in
-    non-increasing order (`_qnum_quotient`); the result is shared and read-only."""
-    return _qnum_quotient(tuple(sorted(up, reverse=True)), tuple(sorted(down, reverse=True)))
+    non-increasing order (`_suffix_product`, `_qnum_quotient`); the result is
+    shared and read-only."""
+    up, down = tuple(sorted(up, reverse=True)), tuple(sorted(down, reverse=True))
+    return _qnum_quotient(up, down) if down else _suffix_product(up)
 
 
 @lru_cache(maxsize=None)
 def _qnum_quotient(up: tuple[int, ...], down: tuple[int, ...]) -> QLaurent:
-    """`qnum_product` on sorted tuples.  A product is [up[0]] times the cached
-    product of the rest, so [n]! reuses [n-1]! and D_d reuses its suffixes,
-    and a quotient is one exact division of the two cached products."""
-    if down:
-        return _qnum_quotient(up, ()).divide_exact(_qnum_quotient(down, ()))
-    return qnum(up[0]) * _qnum_quotient(up[1:], ()) if up else QLaurent.one()
+    """A quotient of two sorted products: one exact division."""
+    return _suffix_product(up).divide_exact(_suffix_product(down))
+
+
+_suffix_products: dict[tuple[int, ...], QLaurent] = {(): QLaurent.one()}
+
+
+def _suffix_product(up: tuple[int, ...]) -> QLaurent:
+    """The product over a sorted tuple, cached with each of its suffixes: one
+    loop builds it from the longest suffix in the cache (the empty one at
+    worst), [up[i]] times the product of up[i + 1:], so [n]! reuses [n-1]!
+    and D_d its suffixes, with no recursion however many q-numbers it has."""
+    i = next(i for i in range(len(up) + 1) if up[i:] in _suffix_products)
+    out = _suffix_products[up[i:]]
+    for i in range(i - 1, -1, -1):
+        out = _suffix_products[up[i:]] = qnum(up[i]) * out
+    return out
 
 
 def degree_counts(d: tuple[int, ...]) -> dict[int, int]:
@@ -520,12 +533,13 @@ class QRatio:
     and `phis`, the sorted (j, e) with e > 0.
 
     QRatio(num, den) takes any den that is an integer times a monomial times
-    Phi_j, as q-numbers, D_d and t_k are, and factors it once (`_phi_factors`):
-    den's monomial moves into num, and the highest power of each Phi_j that
-    divides num is divided out, with no polynomial gcd.  Invariants: num is
-    prime to every Phi_j of phis, and lead to num's content (a rational
-    constant a/b has num a, lead b).  The form is canonical, so == and hash
-    use (num, lead, phis); `den` expands the denominator when read.
+    Phi_j, as q-numbers, D_d and t_k are, and factors it once (`_phi_factors`);
+    the one term x^-s num / den goes through `_ratio_sum`, which divides out
+    the highest power of each Phi_j that divides num, with no polynomial gcd.
+    Invariants: num is prime to every Phi_j of phis, and lead to num's
+    content (a rational constant a/b has num a, lead b).  The form is
+    canonical, so == and hash use (num, lead, phis); `den` expands the
+    denominator when read.
     """
 
     __slots__ = ("num", "lead", "phis")
@@ -536,10 +550,8 @@ class QRatio:
         if den.is_zero():
             raise ZeroDivisionError("QRatio with zero denominator")
         phis = _phi_factors(den) if num and len(den.coeffs) > 1 else ()
-        common = dict(_common_phis(num, phis))
-        num = _times_phis(num.shifted(-den.min_exp()), tuple((j, -k) for j, k in common.items()))
-        phis = tuple((j, e - common.get(j, 0)) for j, e in phis if e > common.get(j, 0))
-        r = QRatio._coprime(num, den.coeffs[den.max_exp()], phis)
+        r = _ratio_sum([(QLaurent.monomial(-den.min_exp()), den.coeffs[den.max_exp()],
+                         {j: -e for j, e in phis})], num)
         self.num, self.lead, self.phis = r.num, r.lead, r.phis
 
     @staticmethod

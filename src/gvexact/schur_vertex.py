@@ -3,11 +3,12 @@ character-based matrix elements of q^(a*F2), and a direct Fock-space oracle
 for words in the operators E_c(n).
 
 The specialization sends the power sum p_i to -1/[i].  Skew Schur values and
-W are built from integer character sums as integer Laurent numerators over
-q-factorials (`skew_numerator`, `w_numerator`), with no polynomial gcd; the
-QRatio forms `skew_schur_qrho` and `W_vertex` reduce a cached numerator once
-per entry, over the cyclotomic factors of its q-factorials
-(`qalgebra.qnum_ratio`).
+W are built as integer Laurent numerators over q-factorials, with no
+polynomial gcd: a skew numerator is one sum of skew characters chi^(mu/eta)
+by the border-strip rule (`skew_numerator`), and W sums their products over
+eta (`w_numerator`).  The QRatio forms `skew_schur_qrho` and `W_vertex`
+reduce a cached numerator once per entry, over the cyclotomic factors of its
+q-factorials (`qalgebra.qnum_ratio`).
 
 Charge is fixed at zero; a fermionic basis state is indexed by a partition
 through the descending half-integer slot sequence s_i = lambda_i - i + 1/2
@@ -24,11 +25,10 @@ from gvexact.partitions import (
     Partition,
     enumerate_partitions,
     kappa,
-    union,
     weight,
     z_factor,
 )
-from gvexact.qalgebra import QLaurent, QRatio, qnum, qnum_product, qnum_ratio
+from gvexact.qalgebra import QLaurent, QRatio, qnum_product, qnum_ratio
 
 FockVector = dict[Partition, QRatio]
 
@@ -42,30 +42,21 @@ FockVector = dict[Partition, QRatio]
 def skew_numerator(mu: Partition, eta: Partition) -> QLaurent:
     """s_{mu/eta}(q^-rho) [n]!, n = |mu| - |eta|: an integer Laurent polynomial.
 
-    The character expansion with p_i = -1/[i], multiplied by n! e! [n]!
-    (e = |eta|), is a sum of integers times integer polynomials:
-        sum_{rho |- n} (-1)^l(rho) (n!/z_rho) [n]!/[rho]
-            * sum_{sigma |- e} chi^eta(sigma) (e!/z_sigma) chi^mu(rho u sigma).
-    One exact integer division by n! e! ends it; no gcd is taken."""
-    n, e = weight(mu) - weight(eta), weight(eta)
+    The character expansion with p_i = -1/[i], multiplied by n! [n]!, is a
+    sum of integers times integer polynomials, one skew character each:
+        sum_{rho |- n} (-1)^l(rho) (n!/z_rho) chi^(mu/eta)(rho) [n]!/[rho].
+    One exact integer division by n! ends it; no gcd is taken."""
+    n = weight(mu) - weight(eta)
     if n < 0:
         return QLaurent.zero()
-    nf, ef = math.factorial(n), math.factorial(e)
+    nf = math.factorial(n)
     acc: dict[int, int] = {}
     for rho in enumerate_partitions(n):
-        inner = 0
-        for sigma in enumerate_partitions(e):
-            chi_eta = mn_character(eta, sigma)
-            if chi_eta:
-                chi_mu = mn_character(mu, union(rho, sigma))
-                inner += chi_eta * (ef // z_factor(sigma)) * chi_mu
-        if inner:
-            c = (nf // z_factor(rho)) * inner
-            if len(rho) % 2:
-                c = -c
+        if chi := mn_character(mu, rho, eta):
+            c = (-1) ** len(rho) * (nf // z_factor(rho)) * chi
             for x, v in qnum_product(range(1, n + 1), rho).coeffs.items():
                 acc[x] = acc.get(x, 0) + c * v
-    return QLaurent(acc).divide_exact(QLaurent.const(nf * ef))
+    return QLaurent(acc).divide_exact(QLaurent.const(nf))
 
 
 @lru_cache(maxsize=None)
@@ -169,7 +160,7 @@ def apply_E(c: int, n: int, vec: FockVector) -> FockVector:
             out[lam] = s
 
     if c == 0:
-        inv = QRatio(QLaurent.one(), qnum(n))
+        inv = qnum_ratio(1, {n: -1})
         for lam, coeff in vec.items():
             eigen = QLaurent.zero()
             for i, a in enumerate(lam, start=1):

@@ -8,7 +8,11 @@ These are the ratio-arithmetic versions that the integer pipeline replaced:
 the skew-Schur character sum and the vertex weight as sums of reduced
 QRatios, and the Mobius inversion G_d with its t-integrality verdict as a
 QRatio sum over a coefficient lookup.  They are slow but independent of the
-numerator bookkeeping.
+numerator bookkeeping.  The integer skew numerator is kept as the double sum
+over straight characters, chi^eta(sigma) chi^mu(rho u sigma), that the one
+sum over skew characters chi^(mu/eta)(rho) replaced
+(`skew_numerator_double_sum`), and the border-strip recursion with no inner
+shape (`straight_character`), against the skew recursion at eta = ().
 
 The graph amplitudes A(T), A(F), B(T) and H(W) are kept the same way: as
 chains of QRatio products and quotients, against the engine's q-number
@@ -108,6 +112,7 @@ from gvexact.qalgebra import (
     degree_counts,
     degree_denominator,
     qnum,
+    qnum_product,
     qnum_ratio,
     t_k_qratio,
     to_t_poly,
@@ -220,6 +225,52 @@ def skew_schur_oracle(mu, eta) -> QRatio:
             coeff = Fraction(chi_mu * chi_eta, z_factor(mup) * z_factor(etap))
             total = total + p_val * coeff
     return total
+
+
+@lru_cache(maxsize=None)
+def straight_character(lam, mu) -> int:
+    """chi^lam(mu) by the border-strip recursion with no inner shape, whose
+    base case is chi^empty(empty) = 1: strip mu[0] from the beta numbers
+    (first-column hook lengths) of lam, with sign (-1)^height."""
+    if not mu:
+        return 1
+    l = len(lam)
+    beta = [a + l - 1 - j for j, a in enumerate(lam)]
+    total = 0
+    for b in beta:
+        nb = b - mu[0]
+        if nb >= 0 and nb not in beta:
+            new_beta = sorted((nb if c == b else c for c in beta), reverse=True)
+            rest = tuple(c - (l - 1 - j) for j, c in enumerate(new_beta) if c > l - 1 - j)
+            total += (-1) ** sum(nb < c < b for c in beta) * straight_character(rest, mu[1:])
+    return total
+
+
+def skew_numerator_double_sum(mu, eta) -> QLaurent:
+    """s_{mu/eta}(q^-rho) [n]!, n = |mu| - |eta|, as the double character sum
+    with p_i = -1/[i], multiplied by n! e! [n]! (e = |eta|):
+        sum_{rho |- n} (-1)^l(rho) (n!/z_rho) [n]!/[rho]
+            * sum_{sigma |- e} chi^eta(sigma) (e!/z_sigma) chi^mu(rho u sigma),
+    divided exactly by n! e!."""
+    n, e = weight(mu) - weight(eta), weight(eta)
+    if n < 0:
+        return QLaurent.zero()
+    nf, ef = math.factorial(n), math.factorial(e)
+    acc: dict[int, int] = {}
+    for rho in enumerate_partitions(n):
+        inner = 0
+        for sigma in enumerate_partitions(e):
+            chi_eta = mn_character(eta, sigma)
+            if chi_eta:
+                chi_mu = mn_character(mu, union(rho, sigma))
+                inner += chi_eta * (ef // z_factor(sigma)) * chi_mu
+        if inner:
+            c = (nf // z_factor(rho)) * inner
+            if len(rho) % 2:
+                c = -c
+            for x, v in qnum_product(range(1, n + 1), rho).coeffs.items():
+                acc[x] = acc.get(x, 0) + c * v
+    return QLaurent(acc).divide_exact(QLaurent.const(nf * ef))
 
 
 def w_vertex_oracle(mu, nu, skew=skew_schur_oracle) -> QRatio:

@@ -8,8 +8,8 @@ from gvexact.characters import (
     check_row_orthogonality,
     mn_character,
 )
-from gvexact.partitions import enumerate_partitions, weight, z_factor
-from oracles import conjugate
+from gvexact.partitions import enumerate_partitions, union, weight, z_factor
+from oracles import conjugate, straight_character
 
 
 def hook_dimension(lam):
@@ -81,3 +81,36 @@ def test_character_table_shape():
     tab = character_table(4)
     assert len(tab) == 25
     assert tab[((2, 2), (2, 2))] == 2
+
+
+def test_empty_inner_shape_is_the_straight_character():
+    for d in range(9):
+        ps = enumerate_partitions(d)
+        for lam in ps:
+            for mu in ps:
+                assert mn_character(lam, mu, ()) == straight_character(lam, mu), (lam, mu)
+
+
+def test_skew_character_is_the_straight_character_sum():
+    # chi^(lambda/eta)(rho) = sum_sigma chi^eta(sigma) chi^lambda(rho u sigma) / z_sigma
+    for d in range(8):
+        for lam in enumerate_partitions(d):
+            for e in range(d + 1):
+                for eta in enumerate_partitions(e):
+                    for rho in enumerate_partitions(d - e):
+                        want = sum(
+                            Fraction(mn_character(eta, sigma) * mn_character(lam, union(rho, sigma)),
+                                     z_factor(sigma))
+                            for sigma in enumerate_partitions(e)
+                        )
+                        assert mn_character(lam, rho, eta) == want, (lam, rho, eta)
+
+
+def test_skew_character_outside_the_shape_is_zero():
+    for d in range(8):
+        for lam in enumerate_partitions(d):
+            for e in range(d + 1):
+                for eta in enumerate_partitions(e):
+                    if len(eta) > len(lam) or any(b > a for a, b in zip(lam, eta)):
+                        for rho in enumerate_partitions(d - e):
+                            assert mn_character(lam, rho, eta) == 0, (lam, rho, eta)

@@ -3,6 +3,7 @@ input with its own message, or returns the documented empty value."""
 
 import pytest
 
+from gvexact.characters import mn_character
 from gvexact.graph_engine import edge_map, enumerate_combined_forests, generate_vev_forests
 from gvexact.partitions import RSet, enumerate_partitions, enumerate_rsets
 from gvexact.qalgebra import QLaurent, QRatio, pole_extract, qnum_ratio
@@ -39,6 +40,7 @@ GUARDS = {
     "z matrix, degree length": (lambda: z_coefficient_matrix((1, 1), (1,)), "share a length"),
     "z matrix, degree zero": (lambda: z_coefficient_matrix((1, 1), (0, 0)), "constant term"),
     "skew numerator, eta larger than mu": (lambda: skew_numerator((1,), (2,)), QLaurent.zero()),
+    "skew character, weights": (lambda: mn_character((2, 1), (1,), (1,)), "|lambda| = |mu| \\+ |eta|"),
 }
 
 

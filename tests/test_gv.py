@@ -1,9 +1,12 @@
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
 from gvexact import qalgebra
+from gvexact.cli import emit_json
 from gvexact.gv import PRESETS, _mobius_cofactor, divisors, integrality_report, mobius, pole_violation
 from gvexact.qalgebra import QLaurent, QRatio, RPoly, _phi_factors, qnum, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
@@ -189,6 +192,23 @@ def test_non_integral_verdicts():
         assert rep.gv_numbers == [] and rep.to_json_obj()["t_times_G"] == ["0", "1/2"]
     assert integrality_report((0, 0), (1, 1), half).notes == (
         "t*G has a non-integer coefficient; F_d has the pole structure, so integrality failed")
+
+
+def test_json_says_why_a_report_was_rejected():
+    # the rejected (0, 0) reports of the verdicts above carry their notes into
+    # the JSON lines; an integral report writes no "notes" key
+    half = DegreeSeries(2, 2, weighted=True)
+    half.set_numerator((1, 1), T.num * T.num)
+    rejected = [integrality_report((0, 0), (2, 0), _z_with((2, 0), T.num).log()),
+                integrality_report((0, 0), (1, 0), _z_with((1, 0), T.num.shifted(1)).log()),
+                integrality_report((0, 0), (1, 1), half)]
+    integral = integrality_report(PRESETS["P2"], (1, 1, 0), _p2_free_energy(2))
+    out = io.StringIO()
+    emit_json(rejected + [integral], False, out)
+    *objs, summary = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert [o.get("notes") for o in objs] == [rep.notes for rep in rejected] + [None]
+    assert all(rep.notes for rep in rejected) and "notes" not in objs[-1]
+    assert summary["all_integral"] is False
 
 
 def test_non_integral_verdict_names_the_broken_pole():

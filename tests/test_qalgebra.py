@@ -839,18 +839,26 @@ def test_pole_extract_matches_fraction_oracle(p, any_f, g, k, m):
     same_extraction(half + p + q(m) / q(even), even, "half")
 
 
-def test_degree_denominator_is_cached_on_the_shape():
+def test_degree_denominator_is_cached_on_the_shape(monkeypatch):
     # every permutation of d, zeros included, has the same sorted q-numbers, so
     # all share one entry of the builder's cache; the value is the product
     # chain over d itself
     shapes = [(3, 0, 1, 0, 2), (2, 2, 0, 1), (4, 0, 0), (0, 1, 0, 0, 1), (5,)]
     for d in shapes:
         perms = set(itertools.permutations(d))
-        qalgebra._qnum_quotient.cache_clear()
+        monkeypatch.setattr(qalgebra, "_suffix_products", {(): QLaurent.one()})
         for perm in perms:
             assert degree_denominator(perm) == degree_denominator_chain(perm), perm
         # a cold D_d builds one entry per suffix of its 2 |d| sorted q-numbers,
-        # the empty one included; every other permutation is one hit
-        info = qalgebra._qnum_quotient.cache_info()
-        assert info.misses == info.currsize == 2 * sum(d) + 1, d
-        assert info.hits == len(perms) - 1, d
+        # the empty one included; every other permutation reads the whole one
+        assert len(qalgebra._suffix_products) == 2 * sum(d) + 1, d
+
+
+def test_cold_product_of_many_q_numbers_needs_no_recursion(monkeypatch):
+    # the builder extends the longest cached suffix in a loop, so a cold
+    # product deeper than the recursion limit is built and cached suffix by suffix
+    monkeypatch.setattr(qalgebra, "_suffix_products", {(): QLaurent.one()})
+    assert qnum_product([1] * 600) == qnum_chain([1] * 600)
+    assert len(qalgebra._suffix_products) == 601
+    assert qnum_product([2] + [1] * 600) == qnum(2) * qnum_chain([1] * 600)
+    assert len(qalgebra._suffix_products) == 602  # one step from the cached [1]^600

@@ -10,13 +10,14 @@ from gvexact.schur_vertex import (
     W_vertex,
     apply_E,
     matrix_element_char,
+    skew_numerator,
     skew_schur_qrho,
     vacuum,
     vev_fock,
 )
 from gvexact.characters import mn_character
 from gvexact.graph_engine import graph_word
-from oracles import schur_qrho_hook, skew_schur_oracle, w_vertex_oracle
+from oracles import schur_qrho_hook, skew_numerator_double_sum, skew_schur_oracle, w_vertex_oracle
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -224,3 +225,13 @@ def test_vev_matches_matrix_elements():
                     assert vev_fock(cs, ns) == QRatio(
                         matrix_element_char(mu, a, nu)
                     ), (mu, a, nu)
+
+
+def test_skew_numerator_is_the_double_character_sum():
+    # one sum over skew characters chi^(mu/eta)(rho) against the double sum over
+    # chi^eta(sigma) chi^mu(rho u sigma), on every (mu, eta) with |mu| <= 9
+    pairs = [(mu, eta) for m in range(10) for mu in enumerate_partitions(m)
+             for e in range(m + 1) for eta in enumerate_partitions(e)]
+    assert len(pairs) == 5614
+    for mu, eta in pairs:
+        assert skew_numerator(mu, eta) == skew_numerator_double_sum(mu, eta), (mu, eta)
