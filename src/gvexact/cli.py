@@ -96,7 +96,8 @@ def compute_reports(config: RunConfig) -> tuple[list[GvReport], bool]:
     cross-checked once, at its first target; the orbit's other targets get
     copies of that report with their own degree."""
     if config.degrees:
-        targets = sorted(set(config.degrees), key=lambda d: (sum(d), d))
+        # graded-lex, larger leading entries first: the order of degree_vectors
+        targets = sorted(set(config.degrees), key=lambda d: (sum(d), tuple(-x for x in d)))
         zs = build_z_series(config.gamma, config.top_degree(), degrees=targets)
     else:
         targets = list(degree_vectors(len(config.gamma), config.max_total_degree))

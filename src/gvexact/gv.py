@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from gvexact.qalgebra import (
     NotSymmetricInT,
@@ -113,7 +114,7 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
         return _rejected(gamma, d, fs, None,
                          "t*G not in Q[t]: nontrivial denominator after reduction")
     try:
-        poly = to_t_poly(QRatio(tg, QLaurent.const(sum(d))))
+        poly = to_t_poly(QRatio(tg) * Fraction(1, sum(d)))
     except NotSymmetricInT as exc:
         return _rejected(gamma, d, fs, None, f"t*G not in Q[t]: {exc}")
     if not poly.is_integral():

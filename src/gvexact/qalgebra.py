@@ -5,12 +5,13 @@ Exponents are stored as integers counting units of 1/2 (so the q-power k
 lives at exponent 2k).  Laurent polynomials have integer coefficients; every
 rational value, constants included, is a QRatio: a Laurent numerator over a
 denominator kept factored, lead prod Phi_j^e, reduced over those Phi_j with
-no polynomial gcd (only a denominator given as a polynomial is factored,
-once).  The t- and y-images are polynomials over Q, kept as integer
-numerators over one denominator (RPoly).  Membership of an image in Q[t] and
-in Z[t] is decided on the Laurent numerator alone; the integer numerators of
-the image are built only when first read.  No floating point ever enters: a
-float given as a constant is a TypeError.  One cached builder
+no polynomial gcd.  Every denominator is born factored, from q-numbers or
+an integer, so no polynomial is ever factored.  The t- and y-images are
+polynomials over Q, kept as integer numerators over one denominator
+(RPoly).  Membership of an image in Q[t] and in Z[t] is decided on the
+Laurent numerator alone; the integer numerators of the image are built only
+when first read.  No floating point ever enters: a float given as a
+constant or a coefficient is a TypeError.  One cached builder
 (`qnum_product`) forms every product and exact quotient of q-numbers, [n]!,
 D_d and the binomial and Mobius cofactors among them; a product extends its
 longest cached suffix in one loop.  One kernel (`_times_phis`) applies
@@ -52,7 +53,7 @@ class QLaurent:
 
     Immutable by convention; `coeffs` maps exponent (int, units of 1/2)
     to a nonzero int.  Integral Fractions are accepted and stored as ints;
-    any other coefficient is a ValueError.
+    a float is a TypeError (`_exact`) and any other coefficient a ValueError.
     """
 
     __slots__ = ("coeffs", "_hash")
@@ -62,10 +63,12 @@ class QLaurent:
         if coeffs:
             for e, v in coeffs.items():
                 if v:
-                    n = int(v)
-                    if n != v:
-                        raise ValueError(f"QLaurent coefficient {v} is not an integer")
-                    c[e] = n
+                    if type(v) is not int:
+                        f = _exact(v)
+                        if f.denominator != 1 or f != v:  # a str passes Fraction, not ==
+                            raise ValueError(f"QLaurent coefficient {v!r} is not an integer")
+                        v = f.numerator
+                    c[e] = v
         self.coeffs, self._hash = c, None
 
     # -- constructors -------------------------------------------------------
@@ -356,7 +359,7 @@ def _ratio_sum(terms, num: QLaurent | None = None) -> "QRatio":
     exponent in its own term, as a reduced numerator or a monomial is.  So a Phi_j whose
     lowest exponent only one term attains divides every term of the sum but that one, not
     the sum, and is tested only when num is given."""
-    if len(terms) == 1:  # every qnum_ratio and QRatio(num, den): nothing to add
+    if len(terms) == 1:  # every qnum_ratio: nothing to add
         ((total, lcm, low),) = terms
         low, ties = dict(sorted(low.items())), ()
     else:
@@ -449,28 +452,6 @@ def _phis_at_power(phis: tuple[tuple[int, int], ...], m: int) -> tuple[tuple[int
     return tuple((k, c) for k, c in sorted(net.items()) if c)
 
 
-@lru_cache(maxsize=None)
-def _phi_factors(den: QLaurent) -> tuple[tuple[int, int], ...]:
-    """The (j, e) with den = c x^s prod Phi_j^e, by trial over increasing j;
-    any other den is a ValueError once j > 2 deg^2 for the degree deg left,
-    as phi(j) >= sqrt(j/2).  Only QRatio(num, den) calls it, on its own or
-    in a quotient (`__truediv__`), and its denominators repeat (`gv verify
-    --suite pole-structure` factors 3 distinct ones in 73 calls), so it is cached."""
-    rest = den.max_exp() - den.min_exp()
-    out = []
-    j = 1
-    while rest:
-        if j > 2 * rest * rest:
-            raise ValueError(f"{format_qlaurent(den)} is not c x^s prod Phi_j^e")
-        n = sum(math.gcd(i, j) == 1 for i in range(j))  # phi(j), the degree of Phi_j
-        e = _phi_multiplicity(den, j, rest // n)  # 0, with Phi_j unbuilt, if n > rest
-        if e:
-            out.append((j, e))
-            rest -= e * n
-        j += 1
-    return tuple(out)
-
-
 def qnum_product(up, down=()) -> QLaurent:
     """prod_(k in up) [k] / prod_(k in down) [k] as an integer Laurent
     polynomial, so [p] for a partition p; the empty product is 1.  A quotient
@@ -532,27 +513,22 @@ class QRatio:
     polynomial num and a denominator kept factored: a positive integer lead
     and `phis`, the sorted (j, e) with e > 0.
 
-    QRatio(num, den) takes any den that is an integer times a monomial times
-    Phi_j, as q-numbers, D_d and t_k are, and factors it once (`_phi_factors`);
-    the one term x^-s num / den goes through `_ratio_sum`, which divides out
-    the highest power of each Phi_j that divides num, with no polynomial gcd.
-    Invariants: num is prime to every Phi_j of phis, and lead to num's
-    content (a rational constant a/b has num a, lead b).  The form is
-    canonical, so == and hash use (num, lead, phis); `den` expands the
-    denominator when read.
+    Every ratio is born factored: QRatio(num) is the integer Laurent
+    polynomial num over 1, and a denominator enters only as q-numbers
+    (`qnum_ratio`, `qnum_sum`), as a rational constant (`const`, or a number
+    in +, - and *) or through a sum, product or substitution of QRatios, so
+    no polynomial is ever factored.  Invariants: num is prime to every Phi_j
+    of phis, and lead to num's content (a rational constant a/b has num a,
+    lead b).  The form is canonical, so == and hash use (num, lead, phis);
+    `den` expands the denominator when read.
     """
 
     __slots__ = ("num", "lead", "phis")
 
-    def __init__(self, num: QLaurent, den: QLaurent | None = None):
-        if den is None:
-            den = QLaurent.one()
-        if den.is_zero():
-            raise ZeroDivisionError("QRatio with zero denominator")
-        phis = _phi_factors(den) if num and len(den.coeffs) > 1 else ()
-        r = _ratio_sum([(QLaurent.monomial(-den.min_exp()), den.coeffs[den.max_exp()],
-                         {j: -e for j, e in phis})], num)
-        self.num, self.lead, self.phis = r.num, r.lead, r.phis
+    def __init__(self, num: QLaurent):
+        if not isinstance(num, QLaurent):
+            raise TypeError(f"QRatio takes one QLaurent numerator, not {type(num).__name__}")
+        self.num, self.lead, self.phis = num, 1, ()
 
     @staticmethod
     def _coprime(num: QLaurent, lead: int, phis: tuple[tuple[int, int], ...]) -> "QRatio":
@@ -646,13 +622,6 @@ class QRatio:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "QRatio":
-        o = QRatio._coerce(other)
-        return self * QRatio(o.den, o.num)  # o.num becomes a denominator: refused unless cyclotomic
-
-    def __rtruediv__(self, other) -> "QRatio":
-        return QRatio._coerce(other) / self
-
     def substitute_power(self, m: int) -> "QRatio":
         """q -> q^m, a ring homomorphism; m >= 1.  The denominator's factors
         follow in closed form (`_phis_at_power`), with no polynomial built."""
@@ -692,7 +661,7 @@ class RPoly:
         """sum_i coeffs[i] t^i for rational coeffs.  Over the lcm of their
         denominators the numerators are already reduced: a coefficient with
         the most factors p of that lcm has a numerator prime to p."""
-        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else _exact(c) for c in coeffs]
         self.den = math.lcm(*(c.denominator for c in cs))
         nums = [c.numerator * (self.den // c.denominator) for c in cs]
         while nums and not nums[-1]:
@@ -862,7 +831,8 @@ def pole_extract(f: QRatio, k: int, mode: str = "plain") -> tuple[Fraction, RPol
 
 
 # ---------------------------------------------------------------------------
-# Serialization (exact strings; used by the CLI JSON schema)
+# Exact strings for reprs (the CLI JSON writes RPoly coefficients as
+# str(Fraction), not these)
 # ---------------------------------------------------------------------------
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 from gvexact.characters import (
@@ -47,6 +48,7 @@ from gvexact.qalgebra import (
     pole_extract,
     qnum,
     qnum_product,
+    qnum_ratio,
     qnum_sum,
     t_k_in_t,
     t_k_qratio,
@@ -118,6 +120,11 @@ def suite_rset_sanity() -> str:
     return f"r-sets: {checked} enumerated, brute-force cross-check at r=2"
 
 
+def _over(num: QLaurent, ks) -> QRatio:
+    """num / prod_(k in ks) [k], with the denominator born factored."""
+    return qnum_ratio(1, {k: -n for k, n in Counter(ks).items()}, num)
+
+
 def suite_q_lemmas() -> str:
     rng = random.Random(20240809)
     # q-number product membership parities
@@ -139,15 +146,15 @@ def suite_q_lemmas() -> str:
     # [ka]/[a]: membership, constant term, even/odd remainder
     for k in range(1, 13):
         for a in range(1, 13):
-            f = QRatio(qnum(k * a)) / QRatio(qnum(a))
+            f = _over(qnum(k * a), (a,))
             if k % 2 == 1 or a % 2 == 0:
                 p = to_t_poly(f)
                 _check(p.is_integral() and p[0] == k, f"[{k * a}]/[{a}]")
             else:
                 # f modulo t = y(y + 4) is k + (k/2)y = (k/2)(x + 1/x)
-                rem = QRatio(QLaurent({1: k, -1: k}), QLaurent.const(2))
+                rem = qnum_ratio(Fraction(1, 2), {}, QLaurent({1: k, -1: k}))
                 try:
-                    to_y_poly((f - rem) / t_k_qratio(1))
+                    to_y_poly((f - rem) * qnum_ratio(1, {1: -2}))
                 except NotSymmetricInT:
                     _check(False, f"even/odd remainder failed for k={k}, a={a}")
     # lcm/gcd integrality with constant term 1
@@ -158,7 +165,7 @@ def suite_q_lemmas() -> str:
             continue
         hits += 1
         num = qnum_product((math.lcm(a, b, c), math.gcd(a, b), math.gcd(b, c), math.gcd(c, a)))
-        f = QRatio(num) / QRatio(qnum_product((a, b, c, 1)))
+        f = _over(num, (a, b, c, 1))
         _check(f.is_laurent(), f"lcm/gcd ratio not polynomial for {(a, b, c)}")
         lp = f.num
         _check(
@@ -179,7 +186,7 @@ def suite_q_lemmas() -> str:
                 )
                 if not drop_ok or not (k % 2 == 1 or d % 2 == 0):
                     continue
-                f = QRatio(qnum_product(scale(k, lam))) / QRatio(qnum_product((k, k) + lam))
+                f = _over(qnum_product(scale(k, lam)), (k, k) + lam)
                 g, rem = pole_extract(f, 1, "plain")
                 _check(
                     g == Fraction(k ** (len(lam) - 2)) and rem.is_integral(),
@@ -292,9 +299,9 @@ def suite_pole_structure(
                         b = amplitude_B(tr)
                         if pd.type == "III":
                             half = QRatio.one() + t_k_qratio(pd.m // 2) * Fraction(1, 2)
-                            pole = half * pd.g / t_k_qratio(pd.m)
+                            pole = half * qnum_ratio(pd.g, {pd.m: -2})
                         else:
-                            pole = QRatio.const(pd.g) / t_k_qratio(pd.m)
+                            pole = qnum_ratio(pd.g, {pd.m: -2})
                         rest = to_t_poly(b - pole)
                         _check(
                             rest.is_integral(),

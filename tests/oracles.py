@@ -1,8 +1,13 @@
 """Reference implementations kept as test oracles.
 
-`gcd_ratio(num, den)` reduces a ratio by a primitive pseudo-remainder
-polynomial gcd, for any denominator and independent of any factoring; the
-differential tests compare QRatio's cyclotomic reduction with it.
+`ratio(num, den)` reduces a ratio by a primitive pseudo-remainder
+polynomial gcd, factors what is left of the denominator by trial division
+with `cyclotomic_oracle` (`cyclotomic_factors`) and builds the canonical
+(num, lead, phis) itself, with none of the engine's reduction code.  The
+differential tests compare QRatio's cyclotomic reduction with it, and the
+tests build every expected ratio with a polynomial denominator through it;
+a quotient x / y is x * inverse(y), that is x * ratio(y.den, y.num).  The
+engine has no such constructor: its ratios are born factored.
 
 These are the ratio-arithmetic versions that the integer pipeline replaced:
 the skew-Schur character sum and the vertex weight as sums of reduced
@@ -178,18 +183,57 @@ def qlaurent_gcd(a: QLaurent, b: QLaurent) -> QLaurent:
     return QLaurent(_int_poly_gcd(a.shifted(-a.min_exp()).coeffs, b.shifted(-b.min_exp()).coeffs))
 
 
-def gcd_ratio(num: QLaurent, den: QLaurent | None = None) -> QRatio:
-    """num/den reduced by the polynomial gcd, for any nonzero den: the
-    reference for the engine's cyclotomic reduction."""
+def cyclotomic_factors(den: QLaurent) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+    """(c, s, phis) with den = c x^s prod Phi_j^e over the sorted (j, e) of
+    phis, by trial division with `cyclotomic_oracle` over increasing j; any
+    other den is a ValueError once j > 2 deg^2 for the degree deg left, as
+    phi(j) >= sqrt(j/2)."""
+    s = den.min_exp()
+    rest, phis, j = den.shifted(-s), [], 1
+    while (deg := rest.max_exp()) > 0:
+        if j > 2 * deg * deg:
+            raise ValueError(f"{den!r} is not c x^s prod Phi_j^e")
+        e = 0
+        while True:
+            try:
+                rest = rest.divide_exact(cyclotomic_oracle(j))
+            except ValueError:
+                break
+            e += 1
+        if e:
+            phis.append((j, e))
+        j += 1
+    return rest.coeffs[0], s, tuple(phis)
+
+
+def ratio(num: QLaurent, den: QLaurent | None = None) -> QRatio:
+    """num/den reduced by the polynomial gcd (`qlaurent_gcd`), for a den that
+    is then c x^s prod Phi_j^e (`cyclotomic_factors`), as the canonical
+    (num, lead, phis) built here: the reference for the engine's cyclotomic
+    reduction, with none of its reduction code."""
     if den is None:
         den = QLaurent.one()
     if den.is_zero():
-        raise ZeroDivisionError("QRatio with zero denominator")
-    if len(num.coeffs) > 1 and len(den.coeffs) > 1:
+        raise ZeroDivisionError("ratio with zero denominator")
+    if num.is_zero():
+        den = QLaurent.one()
+    elif len(num.coeffs) > 1 and len(den.coeffs) > 1:
         # a monomial is a unit of the Laurent ring and shares no factor
         g = qlaurent_gcd(num, den)
         num, den = num.divide_exact(g), den.divide_exact(g)
-    return QRatio(num, den)
+    lead, s, phis = cyclotomic_factors(den)
+    g = math.gcd(lead, *num.coeffs.values())
+    g = -g if lead < 0 else g
+    out = QRatio.__new__(QRatio)
+    out.num = QLaurent({e - s: c // g for e, c in num.coeffs.items()})
+    out.lead, out.phis = lead // g, phis
+    return out
+
+
+def inverse(y: QRatio) -> QRatio:
+    """1 / y by `ratio`, for a nonzero y whose numerator is c x^s prod Phi_j^e:
+    the tests' quotient x / y is x * inverse(y)."""
+    return ratio(y.den, y.num)
 
 
 def schur_qrho_hook(mu) -> QRatio:
@@ -204,7 +248,7 @@ def schur_qrho_hook(mu) -> QRatio:
             hooks = hooks * qnum(h)
     sign = -1 if weight(mu) % 2 else 1
     num = QLaurent.monomial(-kappa(mu) // 2, sign)
-    return QRatio(num) / QRatio(hooks)
+    return ratio(num, hooks)
 
 
 def skew_schur_oracle(mu, eta) -> QRatio:
@@ -221,7 +265,7 @@ def skew_schur_oracle(mu, eta) -> QRatio:
             chi_mu = mn_character(mu, union(mup, etap))
             if not chi_mu:
                 continue
-            p_val = QRatio(QLaurent.const((-1) ** len(mup)), qnum_chain(mup))
+            p_val = ratio(QLaurent.const((-1) ** len(mup)), qnum_chain(mup))
             coeff = Fraction(chi_mu * chi_eta, z_factor(mup) * z_factor(etap))
             total = total + p_val * coeff
     return total
@@ -341,7 +385,7 @@ def amplitude_tree_oracle(root) -> QRatio:
     num = QLaurent.one()
     for v in merges:
         num = num * qnum(zeta(v))
-    return QRatio(num, qnum(n_root))
+    return ratio(num, qnum(n_root))
 
 
 def amplitude_A_oracle(forest) -> QRatio:
@@ -356,7 +400,7 @@ def amplitude_B_oracle(root) -> QRatio:
     den = QLaurent.one()
     for lf in tree_leaves(root):
         den = den * qnum(abs(node_c(lf)))
-    return amplitude_tree_oracle(root) / QRatio(den)
+    return amplitude_tree_oracle(root) * ratio(QLaurent.one(), den)
 
 
 def amplitude_H_oracle(w) -> QRatio:
@@ -594,7 +638,7 @@ def z_coefficient_matrix_rsets(gamma, d) -> QRatio:
         total = total + term * cofactor * QLaurent.const(coeff)
     if sum(g * di for g, di in zip(gamma, d)) % 2:
         total = -total
-    return QRatio(total, degree_denominator(d) * QLaurent.const(scale))
+    return ratio(total, degree_denominator(d) * QLaurent.const(scale))
 
 
 def _node_lines(root, prefix: str, out: list[str]) -> str:
@@ -875,12 +919,12 @@ def phi_power_oracle(factors) -> QLaurent:
 
 def ratio_mul_oracle(a: QRatio, b: QRatio) -> QRatio:
     """a b with the whole product reduced again."""
-    return QRatio(a.num * b.num, a.den * b.den)
+    return ratio(a.num * b.num, a.den * b.den)
 
 
 def ratio_add_oracle(a: QRatio, b: QRatio) -> QRatio:
     """a + b over the product of the denominators (over one of them when
     they are equal), reduced again."""
     if a.den == b.den:
-        return QRatio(a.num + b.num, a.den)
-    return QRatio(a.num * b.den + b.num * a.den, a.den * b.den)
+        return ratio(a.num + b.num, a.den)
+    return ratio(a.num * b.den + b.num * a.den, a.den * b.den)

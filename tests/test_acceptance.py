@@ -32,7 +32,7 @@ from gvexact.series import (
     z_coefficient_matrix,
 )
 from gvexact.verify import suite_pole_structure, suite_q_lemmas
-from oracles import g_of_d
+from oracles import g_of_d, inverse, ratio
 
 ONE = QRatio.one()
 T = t_k_qratio(1)
@@ -97,20 +97,20 @@ def test_criterion_3_golden_values():
     trees = connected_trees_for((3,), (3,), 1)
     assert len(trees) == 1
     t3 = t_k_qratio(3)
-    assert amplitude_B(trees[0]) == (t3 + 3) / t3
+    assert amplitude_B(trees[0]) == (t3 + 3) * inverse(t3)
     assert tree_pole_data(trees[0]).g == 3
 
     trees = connected_trees_for((2,), (2,), 3)
     assert len(trees) == 1
     t2 = t_k_qratio(2)
-    assert amplitude_B(trees[0]) == (T + 2) / t2 + T + 2
+    assert amplitude_B(trees[0]) == (T + 2) * inverse(t2) + T + 2
     assert tree_pole_data(trees[0]).g == 2
 
     # the worked VEV: 2c[cd]/[d]
     for c in (1, 2, 3):
         for d in (1, 2, 3):
             val = vev_graphs((c, c, -c, -c), (0, 0, 0, d))
-            assert val == QRatio(qnum(c * d), qnum(d)) * (2 * c)
+            assert val == ratio(qnum(c * d), qnum(d)) * (2 * c)
 
     # the combined-forest example (r = 3, gamma = (-1,-1,-1)): the displayed
     # amplitude is 1/t; the definition's prefactor (-1)^(L1+L2) is -1 here,
@@ -125,10 +125,10 @@ def test_criterion_3_golden_values():
     ]
     assert ws
     for w in ws:
-        assert amplitude_H(w) == -(ONE / T)
+        assert amplitude_H(w) == -inverse(T)
         # scaled by 3: the displayed t_3-polynomial (final term read as
         # t_3^6), again up to the overall sign
-        disp3, power = 3**6 / t3, ONE
+        disp3, power = 3**6 * inverse(t3), ONE
         for c in [3**7, 3**5 * 11, 3**3 * 5 * 13, 3**3 * 5**2, 3**2 * 17, 19, 1]:
             disp3, power = disp3 + power * c, power * t3
         assert amplitude_H(scale_forest(w, 3)) == -disp3
@@ -136,12 +136,12 @@ def test_criterion_3_golden_values():
         # (cross-checked against the operator oracle) carries the type-I
         # product (1 + t/2)^3 and the matching polynomial part
         half = ONE + T * Fraction(1, 2)
-        corr2, power = 64 * half * half * half / t2, ONE
+        corr2, power = 64 * half * half * half * inverse(t2), ONE
         for c in [48, 104, 92, 42, 10, 1]:
             corr2, power = corr2 + power * c, power * T
         h2 = amplitude_H(scale_forest(w, 2))
         assert h2 == corr2
-        disp2, power = 64 * half * half / t2, ONE
+        disp2, power = 64 * half * half * inverse(t2), ONE
         for c in [32, 96, 86, 41, 10, 1]:
             disp2, power = disp2 + power * c, power * T
         assert h2 != disp2  # the printed value is not the amplitude
@@ -237,7 +237,7 @@ def test_criterion_8_hand_anchors():
 
     total_n0 = 0
     for d in [(1, 0, 0), (0, 1, 0), (0, 0, 1)]:
-        assert g_of_d(gamma, d, fs.get) == -(ONE / T)
+        assert g_of_d(gamma, d, fs.get) == -inverse(T)
         rep = integrality_report(gamma, d, fs)
         assert rep.g_poly == RPoly([-1]) and rep.gv_numbers == [(0, 1)]
         total_n0 += dict(rep.gv_numbers)[0]
@@ -245,6 +245,6 @@ def test_criterion_8_hand_anchors():
 
     for g1 in (-1, 0, 1, 2):
         for g2 in (-2, -1, 1):
-            expect = (ONE + ONE / T) * (ONE + ONE / T) * ((-1) ** abs(g1 + g2))
+            expect = (ONE + inverse(T)) * (ONE + inverse(T)) * ((-1) ** abs(g1 + g2))
             assert build_z_series((g1, g2), 2).get((1, 1)) == expect
     announce(8, "degree-1 anchors and the (1,1) coefficient exact", t0)

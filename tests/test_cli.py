@@ -51,6 +51,14 @@ def test_compute_json_stream(capsys):
         assert json.dumps(obj, separators=(",", ":"), sort_keys=True) == raw
 
 
+def test_degrees_list_reports_in_the_max_degree_order(capsys):
+    # every P2 degree with |d| <= 2, listed in lex order: the same bytes as --max-degree 2
+    every = [(a, b, c) for a in range(3) for b in range(3) for c in range(3) if 0 < a + b + c <= 2]
+    listed = ";".join(",".join(map(str, d)) for d in every)
+    assert run_cli(capsys, "compute", "--surface", "P2", "--degrees", listed) == \
+        run_cli(capsys, "compute", "--surface", "P2", "--max-degree", "2")
+
+
 def test_compute_nongeometric(capsys):
     code, out = run_cli(capsys, "compute", "--gamma", " -1,-1", "--max-degree", "3")
     assert code == 0

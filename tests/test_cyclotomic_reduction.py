@@ -1,6 +1,6 @@
 """Z, F and matrix coefficients reduced over the cyclotomic factors of their
 denominator (`qalgebra.qnum_ratio`), checked against the polynomial-gcd
-reduction `oracles.gcd_ratio`, and checked to factor no denominator."""
+reduction `oracles.ratio`."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import gvexact.qalgebra as qalgebra
 from gvexact.gv import PRESETS
 from gvexact.qalgebra import (
     QLaurent,
@@ -18,6 +17,7 @@ from gvexact.qalgebra import (
     degree_counts,
     degree_denominator,
     qnum,
+    qnum_product,
     qnum_ratio,
 )
 from gvexact.series import (
@@ -26,7 +26,7 @@ from gvexact.series import (
     degree_vectors,
     z_coefficient_matrix,
 )
-from oracles import gcd_ratio
+from oracles import ratio
 
 # the six gammas of the benchmark's sweep-wide workload at seed 0
 SWEEP_GAMMAS = [
@@ -59,17 +59,17 @@ def test_series_coefficients_match_gcd_reduction(gamma, cap):
         if zn.is_zero():
             continue
         den = degree_denominator(d)
-        assert same(zs.get(d), gcd_ratio(zn, den)), d
+        assert same(zs.get(d), ratio(zn, den)), d
         # the matrix path's numerator, over D_d prod d_i!^2
         scale = math.prod(math.factorial(di) ** 2 for di in d)
         got = qnum_ratio(Fraction(1, scale), degree_counts(d), zn * const(scale))
-        assert same(got, gcd_ratio(zn * const(scale), den * const(scale))), d
+        assert same(got, ratio(zn * const(scale), den * const(scale))), d
         checked += 1
     for d in degree_vectors(len(gamma), cap):
         fn = fs.numerator(d)
         if fn.is_zero():
             continue
-        expect = gcd_ratio(fn, degree_denominator(d) * const(sum(d)))
+        expect = ratio(fn, degree_denominator(d) * const(sum(d)))
         assert same(fs.get(d), expect), d
         checked += 1
     assert checked > 30
@@ -98,45 +98,42 @@ def test_random_numerators_match_gcd_reduction(p, phis, counts, c):
             else:
                 bottom = bottom * qnum(k)
     got = qnum_ratio(c, counts, num)
-    expect = gcd_ratio(top, bottom)
+    expect = ratio(top, bottom)
     assert same(got, expect)
     assert got.den.min_exp() == 0 and got.den.coeffs[got.den.max_exp()] > 0
 
 
-def count_factorings(monkeypatch) -> list[int]:
-    calls = [0]
-    real_factors = qalgebra._phi_factors
+@PROPERTY
+@given(
+    st.dictionaries(st.integers(-8, 8), st.integers(-5, 5), max_size=5).map(QLaurent),
+    st.lists(st.integers(1, 12), max_size=5),
+)
+def test_qnum_product_denominator_matches_the_oracle(num, ks):
+    # a denominator of q-numbers, born factored, against the expanded product
+    # reduced by the polynomial gcd and factored by trial division
+    counts: dict[int, int] = {}
+    for k in ks:
+        counts[k] = counts.get(k, 0) - 1
+    assert same(qnum_ratio(1, counts, num), ratio(num, qnum_product(ks)))
 
-    def counting_factors(den):
-        calls[0] += 1
-        return real_factors(den)
 
-    monkeypatch.setattr(qalgebra, "_phi_factors", counting_factors)
-    return calls
-
-
-def test_coefficient_reads_take_no_gcd(monkeypatch):
-    # the reads come with q-number counts, so they factor no denominator
+def test_coefficient_reads_take_no_gcd():
+    # the reads come with q-number counts
     gamma = SWEEP_GAMMAS[0]
     zs = build_z_series(gamma, 4)
     fs = zs.log()
-    calls = count_factorings(monkeypatch)
     z = {d: zs.get(d) for d in degree_vectors(4, 4) if zs.numerator(d)}
     f = {d: fs.get(d) for d in degree_vectors(4, 4) if fs.numerator(d)}
     m = {d: z_coefficient_matrix(gamma, d) for d in degree_vectors(4, 3)}
     zdef = {d: build_z_series(gamma, 2, [d]).get(d) for d in degree_vectors(4, 2)}
-    assert calls[0] == 0
     assert len(z) > 30 and len(f) > 30
     for d, v in m.items():
         assert same(v, z[d]), d
-        assert same(v, gcd_ratio(zs.numerator(d), degree_denominator(d))), d
+        assert same(v, ratio(zs.numerator(d), degree_denominator(d))), d
     for d, v in zdef.items():
         assert same(v, z[d]), d
     for d, v in f.items():
-        assert same(v, gcd_ratio(fs.numerator(d), degree_denominator(d) * const(sum(d)))), d
-    d = (2, 1, 0, 1)
-    assert same(QRatio(zs.numerator(d), degree_denominator(d)), z[d])
-    assert calls[0] > 0  # the counter sees QRatio(num, den) factor its den
+        assert same(v, ratio(fs.numerator(d), degree_denominator(d) * const(sum(d)))), d
 
 
 def test_zero_numerator():
@@ -163,13 +160,13 @@ def test_negative_exponents_fold_modulo_j():
             num = (cyclotomic(j) * QLaurent({0: 2, 3: -1, 5: 1})).shifted(shift)
             counts = {3: -2, 4: -1}
             got = qnum_ratio(1, counts, num)
-            expect = gcd_ratio(num, qnum(3) * qnum(3) * qnum(4))
+            expect = ratio(num, qnum(3) * qnum(3) * qnum(4))
             assert same(got, expect), (shift, j)
             assert len(got.den.coeffs) > 1
     # divisible by nothing: the denominator stays whole
     num = QLaurent({-5: 1, -2: 2})  # x^-5 (1 + 2x^3)
     got = qnum_ratio(1, {3: -1}, num)
-    assert same(got, gcd_ratio(num, qnum(3)))
+    assert same(got, ratio(num, qnum(3)))
     assert got.den == qnum(3).shifted(3)
 
 
@@ -179,9 +176,9 @@ def test_degrees_with_zero_entries():
     fs = zs.log()
     for d in [(2, 0, 0, 1, 0, 0), (0, 3, 0, 0, 0, 0), (1, 0, 1, 0, 0, 1)]:
         assert degree_counts(d) == degree_counts(tuple(x for x in d if x))
-        assert same(zs.get(d), gcd_ratio(zs.numerator(d), degree_denominator(d)))
+        assert same(zs.get(d), ratio(zs.numerator(d), degree_denominator(d)))
         assert same(z_coefficient_matrix(gamma, d), zs.get(d))
-        expect = gcd_ratio(fs.numerator(d), degree_denominator(d) * const(sum(d)))
+        expect = ratio(fs.numerator(d), degree_denominator(d) * const(sum(d)))
         assert same(fs.get(d), expect)
     assert fs.get((2, 0, 0, 1, 0, 0)).is_zero()  # slots 1 and 4 are not adjacent
     assert not fs.get((1, 0, 0, 0, 0, 1)).is_zero()
@@ -206,7 +203,7 @@ def test_weighted_degree_shares_content_with_numerator():
                 qnum(1) * qnum(1) * const(9)):
         s.set_numerator(d, num)
         got = s.get(d)
-        assert same(got, gcd_ratio(num, degree_denominator(d) * const(3))), num
+        assert same(got, ratio(num, degree_denominator(d) * const(3))), num
         assert math.gcd(*got.num.coeffs.values(), *got.den.coeffs.values()) == 1
     s.set_numerator(d, degree_denominator(d) * const(6))
     assert s.get(d) == QRatio.const(2)
@@ -216,9 +213,9 @@ def test_zero_and_zero_qnumber_branches_with_a_numerator():
     p = QLaurent({-2: 1, 1: 4})
     assert qnum_ratio(3, {0: 1, 2: -1}, p).is_zero()
     assert qnum_ratio(0, {2: -1}, p).is_zero()
-    assert same(qnum_ratio(5, {0: 0, 1: 0}, p), gcd_ratio(p * const(5)))
+    assert same(qnum_ratio(5, {0: 0, 1: 0}, p), ratio(p * const(5)))
     with pytest.raises(ZeroDivisionError):
         qnum_ratio(1, {0: -1, 2: 1}, p)
     # a positive count multiplies a non-monomial numerator too
     assert same(qnum_ratio(Fraction(2, 3), {2: 1, 1: -2}, p),
-                gcd_ratio(p * qnum(2) * const(2), qnum(1) * qnum(1) * const(3)))
+                ratio(p * qnum(2) * const(2), qnum(1) * qnum(1) * const(3)))

@@ -8,9 +8,17 @@ import pytest
 from gvexact import qalgebra
 from gvexact.cli import emit_json
 from gvexact.gv import PRESETS, _mobius_cofactor, divisors, integrality_report, mobius, pole_violation
-from gvexact.qalgebra import QLaurent, QRatio, RPoly, _phi_factors, qnum, t_k_qratio
+from gvexact.qalgebra import QLaurent, QRatio, RPoly, qnum, qnum_ratio, t_k_qratio
 from gvexact.series import DegreeSeries, build_z_series, degree_vectors
-from oracles import degree_denominator_chain, g_of_d, integrality_report_oracle, mobius_sum
+from oracles import (
+    cyclotomic_factors,
+    degree_denominator_chain,
+    g_of_d,
+    integrality_report_oracle,
+    inverse,
+    mobius_sum,
+    ratio,
+)
 
 T = t_k_qratio(1)
 
@@ -80,7 +88,7 @@ def test_g_of_d_divisor_expansion():
 
 def test_degree_one_anchor():
     fs = _p2_free_energy(2)
-    assert g_of_d(PRESETS["P2"], (1, 0, 0), fs.get) == -(QRatio.one() / T)
+    assert g_of_d(PRESETS["P2"], (1, 0, 0), fs.get) == -inverse(T)
     rep = integrality_report(PRESETS["P2"], (1, 0, 0), fs)
     assert rep.integral
     assert rep.g_poly == RPoly([-1])
@@ -218,7 +226,7 @@ def test_non_integral_verdict_names_the_broken_pole():
     fs = DegreeSeries(2, 4, weighted=True)
     fs.set_numerator((3, 1), qnum(1) * qnum(1) * qnum(1) * qnum(1) * qnum(2) * qnum(2)
                      * QLaurent.const(4))
-    assert fs.get((3, 1)) == QRatio.one() / t_k_qratio(3)
+    assert fs.get((3, 1)) == inverse(t_k_qratio(3))
     broken = "F_(3, 1) has the pole Phi_3^2; need j | 2, e <= 2"
     assert pole_violation((3, 1), fs.get((3, 1))) == broken
     rep = integrality_report((0, 0), (3, 1), fs)
@@ -235,8 +243,9 @@ def test_pole_violation_reads_the_reduced_denominator(d, pole):
     # or e > 2, is named, as when the expanded den was factored again
     num = QLaurent({0: 1, 1: 2}) * qnum(1) * qnum(1) * qnum(1)
     den = (qnum(3) * qnum(3) * qnum(2) * qnum(2) * qnum(2)).shifted(5) * QLaurent.const(7)
-    f = QRatio(num, den)
-    assert f.phis == _phi_factors(f.den) == ((1, 2), (2, 2), (3, 2), (4, 3), (6, 2))
+    f = qnum_ratio(Fraction(1, 7), {3: -2, 2: -3}, num.shifted(-5))
+    assert f == ratio(num, den)
+    assert f.phis == cyclotomic_factors(f.den)[2] == ((1, 2), (2, 2), (3, 2), (4, 3), (6, 2))
     k = 2 * math.gcd(*d)
     assert pole_violation(d, f) == f"F_{d} has the pole {pole}; need j | {k}, e <= 2"
 
