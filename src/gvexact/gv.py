@@ -94,7 +94,10 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
     The numerator sum is over integers, and t*G_d = ([1]^2 sum).divide_exact(D_d)
     / |d| is one exact division.  D_d has leading coefficient 1, so the
     division succeeds exactly when t*G_d is a Laurent polynomial; when it
-    fails the verdict is "not in Q[t]".  A degree outside the computed range
+    fails the verdict is "not in Q[t]".  A term whose FN_(d/m) is zero is
+    skipped, and a zero numerator sum is t*G_d = 0, the empty integral table,
+    reported with no division or t-image: F_d vanishes on every support of
+    two or more cyclic runs.  A degree outside the computed range
     of `fs` is a KeyError.  A rejected degree's notes also say whether F_d
     breaks the pole structure (`pole_violation`) or integrality failed alone."""
     if not any(d):
@@ -104,10 +107,11 @@ def integrality_report(gamma: tuple[int, ...], d: tuple[int, ...], fs) -> GvRepo
     # m = 1 is the first divisor, with mobius 1 and a cofactor of 1
     total = fs.numerator(d)
     for m in divisors(math.gcd(*d))[1:]:
-        if mu := mobius(m):
-            term = fs.numerator(tuple(x // m for x in d)).substitute_power(m)
-            term = term * _mobius_cofactor(d, m)
+        if (mu := mobius(m)) and (term := fs.numerator(tuple(x // m for x in d))):
+            term = term.substitute_power(m) * _mobius_cofactor(d, m)
             total = total + term if mu > 0 else total - term
+    if not total:  # t*G_d = 0: the empty integral table
+        return GvReport(gamma, d, RPoly(), True)
     try:
         tg = (total * qnum_product((1, 1))).divide_exact(degree_denominator(d))  # t = [1]^2
     except ValueError:

@@ -44,8 +44,10 @@ def enumerate_partitions(d: int) -> tuple[Partition, ...]:
     return tuple(gen(d, d))
 
 
+@lru_cache(maxsize=None)
 def kappa(p: Partition) -> int:
-    """kappa(p) = sum p_i (p_i - 2i + 1); twice the content sum, always even."""
+    """kappa(p) = sum p_i (p_i - 2i + 1); twice the content sum, always even.
+    Cached, since the framed trace reads it for every row and state."""
     return sum(a * (a - 2 * (i + 1) + 1) for i, a in enumerate(p))
 
 

@@ -69,6 +69,7 @@ from gvexact.partitions import (
 from gvexact.qalgebra import (
     QLaurent,
     QRatio,
+    _laurent,
     _mul_add,
     degree_counts,
     qnum_product,
@@ -186,7 +187,9 @@ def _trace(gamma: tuple[int, ...], d: tuple[int, ...], mats: list[dict],
     """(-1)^(gamma.d) tr(S_1 M_1 ... S_r M_r) for sparse QLaurent matrices
     M_i[lambda][lambda'], with S_i = diag x^(framing_i kappa(lambda)) taken as
     an exponent offset.  Each row of M_1 runs through M_2 ... M_(r-1); only
-    the diagonal of the last product is formed, and no M_i is changed."""
+    the diagonal of the last product is formed, and no M_i is changed.
+    Every entry is a sum of int products, so rows and the result are wrapped
+    (`_laurent`) once their zero coefficients are dropped, unvalidated."""
     *mid_mats, last = mats[1:]
     acc: dict[int, int] = {}
     for lam, row in mats[0].items():
@@ -196,13 +199,14 @@ def _trace(gamma: tuple[int, ...], d: tuple[int, ...], mats: list[dict],
                 shift = f * kappa(mid)
                 for lamp, y in mat.get(mid, {}).items():
                     _mul_add(nxt.setdefault(lamp, {}), x, y, shift)
-            row = {lamp: v for lamp, c in nxt.items() if (v := QLaurent(c))}
+            row = {lamp: _laurent(v) for lamp, c in nxt.items()
+                   if (v := {e: n for e, n in c.items() if n})}
         for mid, x in row.items():
             y = last.get(mid, {}).get(lam)
             if y is not None:
                 _mul_add(acc, x, y, framing[0] * kappa(lam) + framing[-1] * kappa(mid))
     sign = -1 if sum(g * di for g, di in zip(gamma, d)) % 2 else 1
-    return QLaurent({e: sign * v for e, v in acc.items()})
+    return _laurent({e: sign * v for e, v in acc.items() if v})
 
 
 @lru_cache(maxsize=None)

@@ -384,13 +384,14 @@ SUITES = {
 
 
 def run_suites(names) -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) for each named suite, in order; an unknown
+    name is a ValueError before any suite runs."""
+    if unknown := [name for name in names if name not in SUITES]:
+        raise ValueError(f"unknown suite {unknown[0]!r}; know {', '.join(sorted(SUITES))}")
     out = []
     for name in names:
-        fn = SUITES.get(name)
-        if fn is None:
-            raise ValueError(f"unknown suite {name!r}; know {sorted(SUITES)}")
         try:
-            detail = fn()
+            detail = SUITES[name]()
             out.append((name, True, detail))
         except Exception as exc:  # a crashing suite is a failed one
             out.append((name, False, f"{type(exc).__name__}: {exc}"))

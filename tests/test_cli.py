@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +134,29 @@ def test_verify_subcommand(capsys):
     assert code == 0
     assert "rset-sanity: PASS" in out
     assert "vev-oracle: PASS" in out
+
+
+def _python(*args) -> subprocess.CompletedProcess:
+    """A fresh interpreter that imports gvexact from this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def test_compute_path_loads_no_suites():
+    # only `gv verify` imports gvexact.verify, so `gv compute` never compiles it
+    run = _python("-c", "import sys, gvexact.cli; print('gvexact.verify' in sys.modules)")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"
+
+
+def test_unknown_suite_is_a_usage_error():
+    run = _python("-m", "gvexact.cli", "verify", "--suite", "rset-sanity", "--suite", "bogus")
+    assert run.returncode == 2
+    assert run.stdout == ""  # no suite ran
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: unknown suite 'bogus'; know ") and "rset-sanity" in line
 
 
 def test_matrix_path_is_accepted_to_its_cap():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from gvexact import qalgebra
+from gvexact import gv, qalgebra
 from gvexact.cli import emit_json
 from gvexact.gv import PRESETS, _mobius_cofactor, divisors, integrality_report, mobius, pole_violation
 from gvexact.qalgebra import QLaurent, QRatio, RPoly, qnum, qnum_ratio, t_k_qratio
@@ -153,8 +153,9 @@ def test_local_p2_kkv_and_genus_zero_through_degree_7():
         ((0, -2), 5, None),
         ((-1, -1), 6, None),
         (PRESETS["P2"], 6, [(1, 1, 0), (2, 2, 2)]),
+        ((-2, 0, 2, 1, 2), 4, None),  # no symmetry; 50 of its 125 supports split
     ],
-    ids=["P2", "F0", "B3", "0,-2", "-1,-1", "P2-support"],
+    ids=["P2", "F0", "B3", "0,-2", "-1,-1", "P2-support", "-2,0,2,1,2"],
 )
 def test_report_matches_ratio_oracle(gamma, cap, degrees):
     fs = build_z_series(gamma, cap, degrees=degrees).log()
@@ -165,6 +166,25 @@ def test_report_matches_ratio_oracle(gamma, cap, degrees):
         got = integrality_report(gamma, d, fs).to_json_obj()
         want = integrality_report_oracle(gamma, d, fs.get).to_json_obj()
         assert [got[k] for k in keys] == [want[k] for k in keys], d
+
+
+def test_zero_numerator_sum_is_the_empty_table(monkeypatch):
+    # FN_(2,2) cancels the Mobius term from FN_(1,1), so the one-run degree
+    # (2, 2) has the numerator sum 0 and t*G_(2,2) = 0
+    fs = DegreeSeries(2, 4, weighted=True)
+    fn11 = QLaurent({-2: 1, 0: 3, 2: 1})
+    fs.set_numerator((1, 1), fn11)
+    fs.set_numerator((2, 2), fn11.substitute_power(2) * _mobius_cofactor((2, 2), 2))
+    want = integrality_report_oracle((0, 0), (2, 2), fs.get).to_json_obj()
+
+    def no_arithmetic(*args):
+        raise AssertionError("a zero numerator sum needs no division or t-image")
+
+    monkeypatch.setattr(gv, "degree_denominator", no_arithmetic)
+    monkeypatch.setattr(gv, "to_t_poly", no_arithmetic)
+    got = integrality_report((0, 0), (2, 2), fs).to_json_obj()
+    assert got == want
+    assert (got["t_times_G"], got["integral"], got["gv"]) == ([], True, [])
 
 
 def _z_with(degree, numerator):

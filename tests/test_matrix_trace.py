@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from gvexact import series
 from gvexact.gv import PRESETS
 from gvexact.partitions import enumerate_partitions, kappa, z_factor
 from gvexact.qalgebra import QLaurent
@@ -144,3 +145,35 @@ def test_cached_gram_matrices_are_not_changed_by_the_trace():
     for pair, w in cached.items():
         assert w_numerator(*pair) == w, pair
     assert first == z_numerator_tuples(gamma, d)
+
+
+# r = 2 to 6 at cap 4, B3 (r = 6, symmetric) and an r = 6 gamma with
+# no symmetry whose degrees include split supports such as (1, 0, 0, 1, 0, 0)
+LAURENT_CAPS = {
+    (0, -2): 4,
+    PRESETS["P2"]: 4,
+    PRESETS["F0"]: 4,
+    PRESETS["B2"]: 4,
+    PRESETS["B3"]: 4,
+    (-2, 0, 2, 1, 0, -2): 4,
+}
+
+
+@pytest.mark.parametrize("gamma,cap", LAURENT_CAPS.items(), ids=str)
+def test_trace_wraps_only_nonzero_ints(gamma, cap, monkeypatch):
+    # _trace wraps every row entry and its result with qalgebra._laurent,
+    # which checks nothing: each dict must map int exponents to nonzero ints,
+    # the contract QLaurent's constructor would check, on the def path
+    # (z_numerator) and on the matrix path's numerator before _reduce
+    wrapped = []
+
+    def checked(c):
+        assert all(type(e) is int and type(v) is int and v for e, v in c.items()), c
+        wrapped.append(c)
+        return QLaurent(c)
+
+    monkeypatch.setattr(series, "_laurent", checked)
+    for d in degree_vectors(len(gamma), cap):
+        z_numerator(gamma, d)
+        z_coefficient_matrix(gamma, d)
+    assert wrapped
